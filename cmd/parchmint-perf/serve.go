@@ -16,7 +16,9 @@ import (
 // where the JSON codec and middleware are the entire cost. "cold"
 // kernels run with the cache disabled, so every request pays the full
 // pipeline computation. The numbers land in BENCH_serve.json with the
-// same before/after baseline discipline as BENCH_pnr.json.
+// same before/after baseline discipline as BENCH_pnr.json. "warm+gzip"
+// kernels are warm kernels whose client offers Accept-Encoding: gzip, so
+// they add the compression path to the cached replay.
 
 // serveCase is one measured endpoint/body/cache-regime combination.
 type serveCase struct {
@@ -24,17 +26,22 @@ type serveCase struct {
 	path  string
 	body  string
 	warm  bool
+	gzip  bool
 	iters int
 }
 
 var serveCases = []serveCase{
-	{"serve/validate/rotary_pcr/warm", "/v1/validate", `{"bench":"rotary_pcr"}`, true, 20000},
-	{"serve/validate/rotary_pcr/cold", "/v1/validate", `{"bench":"rotary_pcr"}`, false, 200},
-	{"serve/stats/aquaflex_3b/warm", "/v1/stats", `{"bench":"aquaflex_3b"}`, true, 20000},
-	{"serve/stats/aquaflex_3b/cold", "/v1/stats", `{"bench":"aquaflex_3b"}`, false, 200},
-	{"serve/pnr/rotary_pcr/warm", "/v1/pnr", `{"bench":"rotary_pcr","placer":"greedy"}`, true, 20000},
-	{"serve/pnr/rotary_pcr/cold", "/v1/pnr", `{"bench":"rotary_pcr","placer":"greedy"}`, false, 20},
-	{"serve/convert/aquaflex_3b/warm", "/v1/convert", `{"bench":"aquaflex_3b","to":"mint"}`, true, 20000},
+	{"serve/validate/rotary_pcr/warm", "/v1/validate", `{"bench":"rotary_pcr"}`, true, false, 20000},
+	{"serve/validate/rotary_pcr/warm+gzip", "/v1/validate", `{"bench":"rotary_pcr"}`, true, true, 20000},
+	{"serve/validate/rotary_pcr/cold", "/v1/validate", `{"bench":"rotary_pcr"}`, false, false, 200},
+	{"serve/stats/aquaflex_3b/warm", "/v1/stats", `{"bench":"aquaflex_3b"}`, true, false, 20000},
+	{"serve/stats/aquaflex_3b/warm+gzip", "/v1/stats", `{"bench":"aquaflex_3b"}`, true, true, 20000},
+	{"serve/stats/aquaflex_3b/cold", "/v1/stats", `{"bench":"aquaflex_3b"}`, false, false, 200},
+	{"serve/pnr/rotary_pcr/warm", "/v1/pnr", `{"bench":"rotary_pcr","placer":"greedy"}`, true, false, 20000},
+	{"serve/pnr/rotary_pcr/warm+gzip", "/v1/pnr", `{"bench":"rotary_pcr","placer":"greedy"}`, true, true, 20000},
+	{"serve/pnr/rotary_pcr/cold", "/v1/pnr", `{"bench":"rotary_pcr","placer":"greedy"}`, false, false, 20},
+	{"serve/convert/aquaflex_3b/warm", "/v1/convert", `{"bench":"aquaflex_3b","to":"mint"}`, true, false, 20000},
+	{"serve/convert/aquaflex_3b/warm+gzip", "/v1/convert", `{"bench":"aquaflex_3b","to":"mint"}`, true, true, 20000},
 }
 
 // discardWriter is the minimal ResponseWriter: headers land in one reused
@@ -77,6 +84,9 @@ func serveKernels() []kernel {
 		req, err := http.NewRequest("POST", "http://perf.local"+c.path, nil)
 		if err != nil {
 			cli.Fatalf("parchmint-perf: %v", err)
+		}
+		if c.gzip {
+			req.Header.Set("Accept-Encoding", "gzip")
 		}
 		rb := &reusableBody{}
 		w := &discardWriter{h: make(http.Header)}

@@ -218,6 +218,20 @@ func (c *Cache) Lookup(key string) (Entry, bool) {
 	return el.Value.(*node).entry, true
 }
 
+// LookupBytes is Lookup for a key held in a byte slice, so a caller
+// deriving keys in a stack buffer probes without materializing a string.
+func (c *Cache) LookupBytes(key []byte) (Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[string(key)]
+	if !ok {
+		return Entry{}, false
+	}
+	c.ll.MoveToFront(el)
+	c.hits++
+	return el.Value.(*node).entry, true
+}
+
 // Put stores entry under key, evicting least-recently-used entries until
 // the cache fits its byte bound again. An entry larger than the whole
 // bound is not stored at all.

@@ -332,6 +332,16 @@ func TestLookupCountsHitsOnly(t *testing.T) {
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("Lookup hit counted wrong: %+v", st)
 	}
+	// LookupBytes is the same probe over a byte-slice key.
+	if _, ok := c.LookupBytes([]byte("absent")); ok {
+		t.Fatal("LookupBytes reported a phantom entry")
+	}
+	if ent, ok := c.LookupBytes([]byte("k")); !ok || string(ent.Body) != "v" {
+		t.Fatalf("LookupBytes(k) = %v, %v", ent, ok)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 0 {
+		t.Fatalf("LookupBytes counted wrong: %+v", st)
+	}
 }
 
 // TestKeyEmptyParts: empty parts are real parts — the length frame makes

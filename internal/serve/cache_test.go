@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -72,47 +73,73 @@ func TestCacheMissThenHitByteIdentical(t *testing.T) {
 // the cache. Exactly one pipeline execution may happen (the singleflight
 // counter), and every response must be a byte-identical 200.
 func TestCacheHammerSingleExecution(t *testing.T) {
-	s, h := newCachedServer(t, Config{Workers: 4})
-	const body = `{"bench":"aquaflex_3b","placer":"greedy"}`
-	const goroutines = 12
-	bodies := make([][]byte, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			w := do(t, h, "POST", "/v1/pnr", body)
-			if w.Code != http.StatusOK {
-				t.Errorf("goroutine %d: status %d: %s", g, w.Code, w.Body)
-				return
-			}
-			if o := w.Header().Get(cacheHeader); o != "miss" && o != "hit" && o != "coalesced" {
-				t.Errorf("goroutine %d: %s = %q", g, cacheHeader, o)
-			}
-			bodies[g] = w.Body.Bytes()
-		}(g)
-	}
-	wg.Wait()
-	for i := 1; i < goroutines; i++ {
-		if bodies[i] != nil && !bytes.Equal(bodies[i], bodies[0]) {
-			t.Fatalf("response %d differs under concurrency", i)
+	// The gzip round also pins the stored encoding: concurrent first
+	// requests compress it once (one more cache miss), every client gets
+	// the same wire bytes, and the variant moves no outcome counter.
+	for _, tc := range []struct {
+		acceptEncoding string
+		entries        int
+	}{{"", 1}, {"gzip", 2}} {
+		s, h := newCachedServer(t, Config{Workers: 4})
+		const body = `{"bench":"aquaflex_3b","placer":"greedy"}`
+		const goroutines = 12
+		bodies := make([][]byte, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				r := httptest.NewRequest("POST", "/v1/pnr", strings.NewReader(body))
+				if tc.acceptEncoding != "" {
+					r.Header.Set("Accept-Encoding", tc.acceptEncoding)
+				}
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, r)
+				if w.Code != http.StatusOK {
+					t.Errorf("goroutine %d: status %d: %s", g, w.Code, w.Body)
+					return
+				}
+				if o := w.Header().Get(cacheHeader); o != "miss" && o != "hit" && o != "coalesced" {
+					t.Errorf("goroutine %d: %s = %q", g, cacheHeader, o)
+				}
+				bodies[g] = w.Body.Bytes()
+			}(g)
 		}
-	}
-	st := s.cache.Stats()
-	if st.Misses != 1 {
-		t.Errorf("cache misses = %d, want exactly 1 pipeline execution", st.Misses)
-	}
-	if st.Hits+st.Coalesced != goroutines-1 {
-		t.Errorf("hits+coalesced = %d, want %d", st.Hits+st.Coalesced, goroutines-1)
-	}
-	text := do(t, h, "GET", "/metrics", "").Body.String()
-	for _, needle := range []string{
-		`parchmint_cache_requests_total{endpoint="pnr",outcome="miss"} 1`,
-		"# TYPE parchmint_cache_evictions_total counter",
-		"parchmint_cache_entries 1",
-	} {
-		if !strings.Contains(text, needle) {
-			t.Errorf("metrics missing %q\n%s", needle, text)
+		wg.Wait()
+		for i := 1; i < goroutines; i++ {
+			if bodies[i] != nil && !bytes.Equal(bodies[i], bodies[0]) {
+				t.Fatalf("Accept-Encoding %q: response %d differs under concurrency", tc.acceptEncoding, i)
+			}
+		}
+		st := s.cache.Stats()
+		if want := uint64(tc.entries); st.Misses != want {
+			t.Errorf("Accept-Encoding %q: cache misses = %d, want %d (one pipeline execution, one compression per encoding)",
+				tc.acceptEncoding, st.Misses, want)
+		}
+		if want := uint64(tc.entries * (goroutines - 1)); st.Hits+st.Coalesced != want {
+			t.Errorf("Accept-Encoding %q: hits+coalesced = %d, want %d", tc.acceptEncoding, st.Hits+st.Coalesced, want)
+		}
+		text := do(t, h, "GET", "/metrics", "").Body.String()
+		for _, needle := range []string{
+			`parchmint_cache_requests_total{endpoint="pnr",outcome="miss"} 1`,
+			"# TYPE parchmint_cache_evictions_total counter",
+			fmt.Sprintf("parchmint_cache_entries %d", tc.entries),
+		} {
+			if !strings.Contains(text, needle) {
+				t.Errorf("Accept-Encoding %q: metrics missing %q\n%s", tc.acceptEncoding, needle, text)
+			}
+		}
+		// The outcome counters sum to one per request, as without gzip.
+		outcomes := 0
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, `parchmint_cache_requests_total{endpoint="pnr",`) {
+				_, v, _ := strings.Cut(line, "} ")
+				n, _ := strconv.Atoi(v)
+				outcomes += n
+			}
+		}
+		if outcomes != goroutines {
+			t.Errorf("Accept-Encoding %q: %d cache outcomes counted for %d requests", tc.acceptEncoding, outcomes, goroutines)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 )
@@ -40,8 +41,17 @@ var relayHeaders = []string{"Content-Type", cacheHeader, "Retry-After"}
 
 // relayResponse copies a peer's response — status, relay headers, body —
 // to the client, stamping the forwarded header with this node's name so
-// clients (and the smoke test) can see the hop.
-func (s *Server) relayResponse(w http.ResponseWriter, resp *http.Response) {
+// clients (and the smoke test) can see the hop. The body is read in full,
+// up to the server's body limit, before anything is written: a peer that
+// dies mid-body, or answers with more than the limit, makes it return
+// false with the client's response untouched, so the caller can still
+// answer some other way instead of relaying a truncated 200.
+func (s *Server) relayResponse(w http.ResponseWriter, resp *http.Response) bool {
+	limit := s.cfg.maxBody()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil || int64(len(body)) > limit {
+		return false
+	}
 	h := w.Header()
 	for _, name := range relayHeaders {
 		if vs := resp.Header[name]; len(vs) > 0 {
@@ -50,29 +60,31 @@ func (s *Server) relayResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	h[cluster.ForwardedHeader] = []string{s.cluster.Self()}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = w.Write(body)
+	return true
 }
 
-// forwardTo relays the request body to owner and streams the peer's
-// response back. False means the hop failed at the transport level (after
-// the client's retry budget): the caller serves locally — determinism
-// makes that fallback safe, just a cache miss on the wrong node.
+// forwardTo relays the request body to owner and relays the peer's
+// response back. False means the hop failed — at the transport level
+// (after the client's retry budget) or while reading the peer's body —
+// and nothing was written: the caller serves locally. Determinism makes
+// that fallback safe, just a cache miss on the wrong node.
 func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, owner, contentType string, body []byte) bool {
 	resp, err := s.cluster.Forward(r.Context(), owner, r.Method, r.URL.Path, r.URL.RawQuery, contentType, body)
 	if err != nil {
 		return false
 	}
 	defer resp.Body.Close()
-	s.relayResponse(w, resp)
-	return true
+	return s.relayResponse(w, resp)
 }
 
 // peerJobRelay resolves a job ID the local store does not know by asking
 // each healthy peer in turn — job IDs are node-local, so a job submitted
 // through one node (or forwarded to the key's owner) lives in exactly one
 // store. A 404 from a peer means "not mine, keep looking"; any other
-// answer is the owning node's and is relayed as-is. Returns false when no
-// peer knows the job (the caller's local 404 stands).
+// answer is the owning node's and is relayed as-is, unless its body cannot
+// be read whole, which counts as no answer. Returns false when no peer
+// knows the job (the caller's local 404 stands).
 func (s *Server) peerJobRelay(w http.ResponseWriter, r *http.Request) bool {
 	if s.cluster == nil || len(r.Header[cluster.ForwardedHeader]) > 0 {
 		return false
@@ -90,9 +102,11 @@ func (s *Server) peerJobRelay(w http.ResponseWriter, r *http.Request) bool {
 			resp.Body.Close()
 			continue
 		}
-		s.relayResponse(w, resp)
+		relayed := s.relayResponse(w, resp)
 		resp.Body.Close()
-		return true
+		if relayed {
+			return true
+		}
 	}
 	return false
 }
@@ -103,6 +117,10 @@ func (s *Server) peerJobRelay(w http.ResponseWriter, r *http.Request) bool {
 // concentrating it on the owner.
 func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) error {
 	key := r.PathValue("key")
+	if strings.HasSuffix(key, gzipKeySuffix) {
+		// Stored gzip encodings are this node's wire format, not results.
+		return fmt.Errorf("%w: no cache entry for %s", errNotFound, key)
+	}
 	if s.cache == nil {
 		return fmt.Errorf("%w: caching disabled on this node", errNotFound)
 	}

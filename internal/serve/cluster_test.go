@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cluster"
 )
 
@@ -300,6 +302,15 @@ func TestClusterPeerCacheProbeEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("probe content type = %q", ct)
 	}
+	// A gzip client stores the entry's encoding next to it; that encoding
+	// is this node's wire format, never a result a peer may adopt.
+	postRaw(t, ownerNode.url+"/v1/validate", `{"bench":"rotary_pcr"}`, map[string]string{"Accept-Encoding": "gzip"})
+	if st := ownerNode.s.cache.Stats(); st.Entries != 2 {
+		t.Fatalf("owner cache holds %d entries, want the result and its gzip encoding", st.Entries)
+	}
+	if resp, _ := getRaw(t, ownerNode.url+cluster.ProbePath+"/"+key+gzipKeySuffix); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("probe of a gzip encoding = %d, want 404", resp.StatusCode)
+	}
 }
 
 func TestSingleNodeHasNoClusterSurface(t *testing.T) {
@@ -365,5 +376,102 @@ func TestClusterOwnerDeathFailsOverDeterministically(t *testing.T) {
 	}
 	if string(after) != string(before) {
 		t.Error("response bytes changed after owner death")
+	}
+}
+
+// TestClusterRelayFallsBackOnBrokenPeerBody pins the forwarded-hop
+// failure path: a key's owner that answers 200 and then hangs up
+// mid-body, or answers with more than the body limit, must not reach the
+// client as a truncated or oversized 200. The forwarding node discards
+// the peer's answer and computes locally: correct bytes, a 200, no
+// forwarded marker.
+func TestClusterRelayFallsBackOnBrokenPeerBody(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply func(w http.ResponseWriter)
+	}{
+		{"hangup-mid-body", func(w http.ResponseWriter) {
+			conn, buf, err := http.NewResponseController(w).Hijack()
+			if err != nil {
+				t.Errorf("hijack: %v", err)
+				return
+			}
+			defer conn.Close()
+			buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"partial\":")
+			buf.Flush()
+		}},
+		{"oversized-body", func(w http.ResponseWriter) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			w.Write([]byte(`"` + strings.Repeat("x", 4096) + `"`))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var forwarded atomic.Int32
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path == "/healthz":
+					w.Write([]byte(`{"status":"ok"}`))
+				case strings.HasPrefix(r.URL.Path, "/v1/"):
+					forwarded.Add(1)
+					tc.reply(w)
+				default: // peer cache probes: nothing stored here
+					http.NotFound(w, r)
+				}
+			}))
+			defer peer.Close()
+
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			self := "http://" + ln.Addr().String()
+			s := New(Config{
+				Workers:            2,
+				BaseSeed:           BaseSeedDefault,
+				CacheBytes:         16 << 20,
+				MaxBodyBytes:       1024,
+				Peers:              []string{self, peer.URL},
+				Self:               self,
+				PeerHealthInterval: 100 * time.Millisecond,
+			})
+			ts := httptest.NewUnstartedServer(s.Handler())
+			ts.Listener.Close()
+			ts.Listener = ln
+			ts.Start()
+			defer func() { ts.Close(); s.Close() }()
+			node := &clusterNode{s: s, url: self}
+
+			// Find a benchmark whose stats key the broken peer owns.
+			name := ""
+			for _, b := range bench.Suite() {
+				if _, owner, _ := discoverShard(t, node, `{"op":"stats","bench":"`+b.Name+`"}`); owner == peer.URL {
+					name = b.Name
+					break
+				}
+			}
+			if name == "" {
+				t.Fatal("the broken peer owns none of the suite's stats keys")
+			}
+			body := `{"bench":"` + name + `"}`
+			want := do(t, newTestServer(2), http.MethodPost, "/v1/stats", body)
+
+			resp, got := postRaw(t, node.url+"/v1/stats", body, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d: %s", resp.StatusCode, got)
+			}
+			if forwarded.Load() == 0 {
+				t.Fatal("the request never reached the owning peer")
+			}
+			if string(got) != want.Body.String() {
+				t.Errorf("body differs from a local computation:\n%.200q\nvs\n%.200q", got, want.Body)
+			}
+			if h := resp.Header.Get(cluster.ForwardedHeader); h != "" {
+				t.Errorf("fallback response claims a hop: %q", h)
+			}
+			if h := resp.Header.Get(cacheHeader); h != "miss" {
+				t.Errorf("%s = %q, want miss (computed locally)", cacheHeader, h)
+			}
+		})
 	}
 }

@@ -32,6 +32,7 @@ import (
 // none of them.
 type reqState struct {
 	sw   statusWriter
+	gzw  gzipWriter
 	req  request
 	body []byte
 	vals obs.RequestValues
@@ -58,6 +59,7 @@ func getReqState() *reqState { return reqStatePool.Get().(*reqState) }
 
 func putReqState(st *reqState) {
 	st.sw = statusWriter{}
+	st.gzw = gzipWriter{}
 	st.req = request{}
 	st.vals.Reset()
 	st.ctx = reqContext{}

@@ -87,10 +87,12 @@ func decodeRequest(r *http.Request) (*request, error) {
 	if err != nil {
 		return nil, badBody("request body", err)
 	}
-	req := new(request)
+	var req *request
 	if st := stateFrom(r); st != nil {
 		st.req = request{}
 		req = &st.req
+	} else {
+		req = new(request)
 	}
 	if err := parseRequest(body, req); err != nil {
 		return nil, badBody("request body", err)
@@ -139,7 +141,8 @@ func jsonEntry(v any) (cache.Entry, error) {
 
 // serveOp adapts one pipeline operation into an apiHandler: decode the
 // envelope, validate it against the shared operation table, run the
-// operation through the result cache, and replay the materialized entry.
+// operation through the result cache, and replay the materialized entry
+// — for a gzip client, the entry's stored gzip encoding (gzipVariant).
 // In cluster mode the request is first sharded by its content address:
 // a request landing on a non-owner takes one forwarding hop to the key's
 // owner (where its cache entries, coalescing, and journal records
@@ -155,8 +158,10 @@ func (s *Server) serveOp(name string) apiHandler {
 			return err
 		}
 		var key string
-		if s.cluster != nil {
+		if s.cache != nil || s.cluster != nil {
 			key = s.cacheKey(op.Name, req)
+		}
+		if s.cluster != nil {
 			owner := s.cluster.Route(key)
 			w.Header()[cluster.ShardHeader] = []string{owner}
 			if s.forwardable(r, owner) {
@@ -171,8 +176,16 @@ func (s *Server) serveOp(name string) apiHandler {
 			return err
 		}
 		body := ent.Body
-		if requestPretty(r) && ent.ContentType == "application/json" {
+		pretty := requestPretty(r) && ent.ContentType == "application/json"
+		if pretty {
 			if body, err = indentEntry(ent.Body); err != nil {
+				return err
+			}
+		}
+		var encoded []byte
+		gzw, gzipped := w.(*gzipWriter)
+		if gzipped && s.cache != nil && !pretty {
+			if encoded, err = s.gzipVariant(r.Context(), key, ent); err != nil {
 				return err
 			}
 		}
@@ -181,6 +194,9 @@ func (s *Server) serveOp(name string) apiHandler {
 			h[cacheHeader] = outcomeHeaderValue(outcome)
 		}
 		h["Content-Type"] = contentTypeValue(ent.ContentType)
+		if encoded != nil {
+			return gzw.writeEncoded(encoded)
+		}
 		w.WriteHeader(http.StatusOK)
 		_, err = w.Write(body)
 		return err
@@ -576,10 +592,12 @@ type benchListResponse struct {
 // handleBenchList lists the suite in canonical order, using the shared
 // device cache (Benchmark.Device) so repeated listings build nothing.
 // ?prefix= narrows the listing to benchmarks whose name starts with the
-// prefix; ?format=legacy selects the deprecated bare-array rendering the
-// listing used before the {items, total} envelope.
+// prefix. The format parameter is reserved: any value is refused.
 func (s *Server) handleBenchList(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
+	if format := q.Get("format"); format != "" {
+		return fmt.Errorf("%w: format must be omitted, got %q", errBadRequest, format)
+	}
 	prefix := q.Get("prefix")
 	suite := bench.Suite()
 	entries := make([]benchEntry, 0, len(suite))
@@ -597,14 +615,7 @@ func (s *Server) handleBenchList(w http.ResponseWriter, r *http.Request) error {
 			Layers:      len(d.Layers),
 		})
 	}
-	switch format := q.Get("format"); format {
-	case "":
-		return writeJSON(w, r, http.StatusOK, benchListResponse{Items: entries, Total: len(entries)})
-	case "legacy":
-		return writeJSON(w, r, http.StatusOK, entries)
-	default:
-		return fmt.Errorf("%w: format must be \"legacy\" or omitted, got %q", errBadRequest, format)
-	}
+	return writeJSON(w, r, http.StatusOK, benchListResponse{Items: entries, Total: len(entries)})
 }
 
 // handleBenchGet serves one benchmark's ParchMint document.

@@ -3,14 +3,18 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
@@ -281,9 +285,13 @@ func TestCacheKeyMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestGzipByteIdentity pins the compression middleware: decompressing a
-// gzip response yields exactly the identity response's bytes, on both a
-// JSON endpoint and the SVG renderer, and the SSE stream stays identity.
+// TestGzipByteIdentity pins the compression middleware. On the streaming
+// path (a cache-less server, plus endpoints outside the result cache),
+// decompressing a gzip response yields exactly the identity response's
+// bytes. On the cached path, every pipeline op in every cache state
+// replays a stored encoding whose wire bytes equal a fresh BestSpeed
+// compression of the identity body. ?pretty and error envelopes keep
+// streaming and stay well-formed.
 func TestGzipByteIdentity(t *testing.T) {
 	h := newTestServer(2)
 	cases := []struct {
@@ -299,33 +307,207 @@ func TestGzipByteIdentity(t *testing.T) {
 		if plain.Header().Get("Content-Encoding") != "" {
 			t.Fatalf("%s: identity response claims an encoding", tc.path)
 		}
-
-		var r *http.Request
-		if tc.body == "" {
-			r = httptest.NewRequest(tc.method, tc.path, nil)
-		} else {
-			r = httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
-		}
-		r.Header.Set("Accept-Encoding", "gzip, deflate")
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-		if got := w.Header().Get("Content-Encoding"); got != "gzip" {
-			t.Fatalf("%s: Content-Encoding = %q, want gzip", tc.path, got)
-		}
-		if got := w.Header().Get("Vary"); got != "Accept-Encoding" {
-			t.Errorf("%s: Vary = %q, want Accept-Encoding", tc.path, got)
-		}
-		zr, err := gzip.NewReader(w.Body)
-		if err != nil {
-			t.Fatalf("%s: gzip reader: %v", tc.path, err)
-		}
-		raw, err := io.ReadAll(zr)
-		if err != nil {
-			t.Fatalf("%s: decompress: %v", tc.path, err)
-		}
-		if !bytes.Equal(raw, plain.Body.Bytes()) {
+		w := doGzip(t, h, tc.method, tc.path, tc.body)
+		if !bytes.Equal(gunzip(t, w), plain.Body.Bytes()) {
 			t.Errorf("%s: decompressed body differs from identity body", tc.path)
 		}
+	}
+
+	t.Run("cached-ops", testGzipCachedOps)
+	t.Run("pretty", func(t *testing.T) {
+		_, h := newCachedServer(t, Config{Workers: 2})
+		const body = `{"bench":"rotary_pcr"}`
+		for range 2 { // miss, then hit: pretty never replays the stored encoding
+			w := doGzip(t, h, "POST", "/v1/stats?pretty=1", body)
+			want, err := indentEntry(do(t, h, "POST", "/v1/stats", body).Body.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := gunzip(t, w); !bytes.Equal(got, want) {
+				t.Errorf("pretty gzip body is not the indented body:\n%s\nvs\n%s", got, want)
+			}
+		}
+	})
+	t.Run("error-envelope", func(t *testing.T) {
+		_, h := newCachedServer(t, Config{Workers: 2})
+		w := doGzip(t, h, "POST", "/v1/stats", `{"bench":"no_such_bench"}`)
+		if w.Code != http.StatusNotFound {
+			t.Fatalf("status = %d, want 404", w.Code)
+		}
+		var eb struct {
+			Error     string `json:"error"`
+			Code      string `json:"code"`
+			RequestID string `json:"request_id"`
+		}
+		raw := gunzip(t, w)
+		if err := json.Unmarshal(raw, &eb); err != nil {
+			t.Fatalf("gzip error body is not JSON: %v\n%s", err, raw)
+		}
+		if eb.Code != "not-found" || eb.Error == "" || eb.RequestID != w.Header().Get("X-Request-Id") {
+			t.Errorf("malformed error envelope under gzip: %s", raw)
+		}
+	})
+}
+
+// gzipOpCases are the five pipeline ops, each with a body whose result is
+// cached and whose identity response the gzip variants must reproduce.
+var gzipOpCases = []struct {
+	op, path, body string
+}{
+	{opValidate, "/v1/validate", `{"bench":"rotary_pcr"}`},
+	{opStats, "/v1/stats", `{"bench":"aquaflex_3b"}`},
+	{opConvert, "/v1/convert", `{"bench":"aquaflex_3b","to":"mint"}`},
+	{opPNR, "/v1/pnr", `{"bench":"rotary_pcr","placer":"greedy"}`},
+	{opRender, "/v1/render.svg", `{"bench":"rotary_pcr"}`},
+}
+
+// testGzipCachedOps walks each op through the miss, hit, and coalesced
+// states, plus a hit whose gzip encoding is not yet stored.
+func testGzipCachedOps(t *testing.T) {
+	ref := newTestServer(2)
+	for _, tc := range gzipOpCases {
+		plain := do(t, ref, "POST", tc.path, tc.body)
+		if plain.Code != http.StatusOK {
+			t.Fatalf("%s: identity status = %d: %s", tc.path, plain.Code, plain.Body)
+		}
+		identity := plain.Body.Bytes()
+		want := bestSpeed(t, identity)
+		check := func(state string, w *httptest.ResponseRecorder) {
+			t.Helper()
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s %s: status = %d", tc.path, state, w.Code)
+			}
+			if got := w.Header().Get(cacheHeader); got != state {
+				t.Errorf("%s: %s = %q, want %q", tc.path, cacheHeader, got, state)
+			}
+			if got := w.Header().Get("Content-Length"); got != strconv.Itoa(len(want)) {
+				t.Errorf("%s %s: Content-Length = %q, want %d", tc.path, state, got, len(want))
+			}
+			if got := w.Header().Get("Content-Type"); got != plain.Header().Get("Content-Type") {
+				t.Errorf("%s %s: Content-Type = %q, want %q", tc.path, state, got, plain.Header().Get("Content-Type"))
+			}
+			if !bytes.Equal(w.Body.Bytes(), want) {
+				t.Errorf("%s %s: gzip wire bytes differ from BestSpeed of the identity body", tc.path, state)
+			}
+		}
+
+		// Miss, then hit on both the result and its stored encoding.
+		_, h := newCachedServer(t, Config{Workers: 2})
+		check("miss", doGzip(t, h, "POST", tc.path, tc.body))
+		check("hit", doGzip(t, h, "POST", tc.path, tc.body))
+		if got := do(t, h, "POST", tc.path, tc.body).Body.Bytes(); !bytes.Equal(got, identity) {
+			t.Errorf("%s: identity hit differs after gzip requests", tc.path)
+		}
+
+		// A hit whose encoding has never been stored.
+		_, h = newCachedServer(t, Config{Workers: 2})
+		do(t, h, "POST", tc.path, tc.body)
+		check("hit", doGzip(t, h, "POST", tc.path, tc.body))
+
+		// Coalesced: a gzip request that joins an in-flight computation.
+		check("coalesced", coalescedGzip(t, tc.op, tc.path, tc.body,
+			cache.Entry{ContentType: plain.Header().Get("Content-Type"), Body: identity}))
+	}
+}
+
+// coalescedGzip issues a gzip request that coalesces onto an in-flight
+// computation of its own key, which the test holds open and then
+// completes with ent, and returns the request's response.
+func coalescedGzip(t *testing.T, op, path, body string, ent cache.Entry) *httptest.ResponseRecorder {
+	t.Helper()
+	s, h := newCachedServer(t, Config{Workers: 2})
+	var req request
+	if err := parseRequest([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	release, leader := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	defer func() { <-leader }()
+	defer releaseOnce.Do(func() { close(release) })
+	go func() {
+		defer close(leader)
+		s.cache.Do(context.Background(), s.cacheKey(op, &req), func() (cache.Entry, error) {
+			<-release
+			return ent, nil
+		})
+	}()
+	waitUntil(t, func() bool { return s.cache.Stats().Misses == 1 })
+	resp := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		r := httptest.NewRequest("POST", path, strings.NewReader(body))
+		r.Header.Set("Accept-Encoding", "gzip")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		resp <- w
+	}()
+	waitUntil(t, func() bool { return s.cache.Stats().Coalesced == 1 })
+	releaseOnce.Do(func() { close(release) })
+	return <-resp
+}
+
+// doGzip issues a request offering gzip and checks the response is
+// labeled as compressed.
+func doGzip(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	t.Helper()
+	var r *http.Request
+	if body == "" {
+		r = httptest.NewRequest(method, path, nil)
+	} else {
+		r = httptest.NewRequest(method, path, strings.NewReader(body))
+	}
+	r.Header.Set("Accept-Encoding", "gzip, deflate")
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	if got := w.Header().Get("Content-Encoding"); got != "gzip" {
+		t.Fatalf("%s: Content-Encoding = %q, want gzip", path, got)
+	}
+	if got := w.Header().Get("Vary"); got != "Accept-Encoding" {
+		t.Errorf("%s: Vary = %q, want Accept-Encoding", path, got)
+	}
+	return w
+}
+
+// gunzip decompresses a recorded gzip response body.
+func gunzip(t *testing.T, w *httptest.ResponseRecorder) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(w.Body.Bytes()))
+	if err != nil {
+		t.Fatalf("gzip reader: %v", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("decompress: %v", err)
+	}
+	return raw
+}
+
+// bestSpeed is the reference encoding: a fresh BestSpeed writer fed the
+// whole body in one Write.
+func bestSpeed(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10s")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -337,6 +519,48 @@ func TestGzipRefusedQualityZero(t *testing.T) {
 	h.ServeHTTP(w, r)
 	if got := w.Header().Get("Content-Encoding"); got != "" {
 		t.Errorf("Content-Encoding = %q with q=0, want identity", got)
+	}
+}
+
+// TestAcceptsGzipNegotiation pins RFC 9110 §12.5.3 precedence: an
+// explicit gzip member decides wherever it appears, "*" only stands in
+// for an unnamed gzip, and q is found among any number of parameters.
+func TestAcceptsGzipNegotiation(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"", false},
+		{"gzip", true},
+		{"GZIP", true},
+		{"deflate, gzip", true},
+		{"identity", false},
+		{"br, deflate", false},
+		{"*", true},
+		{"*;q=0", false},
+		{"gzip;q=0", false},
+		{"gzip; q=0.000", false},
+		{"gzip;Q=0", false},
+		{"gzip;q=0.5", true},
+		{"gzip;q=1.0", true},
+		{"*;q=0, gzip", true},
+		{"gzip, *;q=0", true},
+		{"gzip;q=0, *", false},
+		{"*, gzip;q=0", false},
+		{"gzip;x=1;q=0", false},
+		{"gzip;x=1;q=0.3", true},
+		{"gzip;x=1", true},
+		{"gzip;q=abc", true},
+		{"deflate;q=0, *;q=0.1", true},
+		{" gzip ; q = 0 ", false},
+	} {
+		r := httptest.NewRequest("GET", "/", nil)
+		if tc.header != "" {
+			r.Header.Set("Accept-Encoding", tc.header)
+		}
+		if got := acceptsGzip(r); got != tc.want {
+			t.Errorf("acceptsGzip(%q) = %v, want %v", tc.header, got, tc.want)
+		}
 	}
 }
 
@@ -405,33 +629,43 @@ func TestWarmServeAllocs(t *testing.T) {
 	}
 	h := New(Config{Workers: 2, BaseSeed: BaseSeedDefault, CacheBytes: 1 << 20}).Handler()
 	body := []byte(`{"bench":"rotary_pcr"}`)
-	req, err := http.NewRequest("POST", "http://perf.local/v1/validate", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := &allocReusableBody{}
-	w := &allocDiscardWriter{h: make(http.Header)}
-	run := func() {
-		rb.Reset(body)
-		req.Body = rb
-		w.status = 0
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("status = %d", w.status)
+	// The gzip case replays the stored encoding; its one extra allocation
+	// is the Content-Length header (two once the length passes 99).
+	for _, acceptEncoding := range []string{"", "gzip"} {
+		req, err := http.NewRequest("POST", "http://perf.local/v1/validate", nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Warm the cache, the pools, and the lazily materialized metric cells.
-	for range 16 {
-		run()
-	}
-	avg := testing.AllocsPerRun(200, run)
-	// The measured warm path sits around 11 allocations: the timeout
-	// context machinery, the request ID and its header slice, the root
-	// span, the request-context clone, and the cache key string. The
-	// ceiling leaves slack for toolchain drift while still failing loudly
-	// if per-request decode/encode garbage creeps back in.
-	const ceiling = 16
-	if avg > ceiling {
-		t.Errorf("warm /v1/validate allocates %.1f per request, ceiling %d", avg, ceiling)
+		if acceptEncoding != "" {
+			req.Header.Set("Accept-Encoding", acceptEncoding)
+		}
+		rb := &allocReusableBody{}
+		w := &allocDiscardWriter{h: make(http.Header)}
+		run := func() {
+			rb.Reset(body)
+			req.Body = rb
+			w.status = 0
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("status = %d", w.status)
+			}
+		}
+		// Warm the cache, the pools, and the lazily materialized metric cells.
+		for range 16 {
+			run()
+		}
+		avg := testing.AllocsPerRun(200, run)
+		t.Logf("warm /v1/validate (Accept-Encoding %q): %.1f allocs per request", acceptEncoding, avg)
+		// The measured warm path sits at 14 allocations: the timeout
+		// context machinery, the request ID and traceparent with their
+		// header slices, the root span, the request-context clone, the
+		// flight record, and the cache key string. The ceiling leaves slack
+		// for toolchain drift while still failing loudly if per-request
+		// decode/encode garbage creeps back in.
+		const ceiling = 16
+		if avg > ceiling {
+			t.Errorf("warm /v1/validate (Accept-Encoding %q) allocates %.1f per request, ceiling %d",
+				acceptEncoding, avg, ceiling)
+		}
 	}
 }

@@ -14,7 +14,6 @@ package serve
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -590,12 +589,10 @@ func (s *Server) wrapWith(endpoint string, h apiHandler, o wrapOpts) http.Handle
 		var hw http.ResponseWriter = sw
 		var gzw *gzipWriter
 		if !o.noCompress && acceptsGzip(r) {
-			gz := gzipPool.Get().(*gzip.Writer)
-			gz.Reset(sw)
-			hdr := sw.Header()
 			hdr["Content-Encoding"] = gzipEncodingVal
 			hdr["Vary"] = varyAcceptVal
-			gzw = &gzipWriter{sw: sw, gz: gz}
+			st.gzw = gzipWriter{sw: sw}
+			gzw = &st.gzw
 			hw = gzw
 		}
 		r2 := r.WithContext(ctx)

@@ -416,7 +416,8 @@ func TestExplicitSeedOverridesDerived(t *testing.T) {
 }
 
 // TestBenchListEnvelope covers the {items, total} listing envelope, its
-// ?prefix= filter, and the deprecated ?format=legacy bare array.
+// ?prefix= filter, and the refusal of any format parameter — including
+// the removed legacy bare-array rendering.
 func TestBenchListEnvelope(t *testing.T) {
 	h := newTestServer(1)
 	w := do(t, h, "GET", "/v1/bench?prefix=planar", "")
@@ -444,13 +445,10 @@ func TestBenchListEnvelope(t *testing.T) {
 	if !strings.Contains(none.Body.String(), `"items":[]`) {
 		t.Errorf("empty filter should render an empty items array: %s", none.Body)
 	}
-	legacy := do(t, h, "GET", "/v1/bench?format=legacy", "")
-	var arr []json.RawMessage
-	if err := json.Unmarshal(legacy.Body.Bytes(), &arr); err != nil || len(arr) == 0 {
-		t.Errorf("legacy format is not a bare array: %v\n%s", err, legacy.Body)
-	}
-	if bad := do(t, h, "GET", "/v1/bench?format=csv", ""); bad.Code != http.StatusBadRequest {
-		t.Errorf("unknown format: status = %d, want 400", bad.Code)
+	for _, format := range []string{"legacy", "csv"} {
+		if bad := do(t, h, "GET", "/v1/bench?format="+format, ""); bad.Code != http.StatusBadRequest {
+			t.Errorf("format=%s: status = %d, want 400", format, bad.Code)
+		}
 	}
 }
 
