@@ -1,11 +1,12 @@
 # CI entry points. `make check` is the full gate a commit should pass:
-# build, vet, tests, the race detector over the parallel runner, and a
-# short fuzz smoke of the parser and JSON codec.
+# build, gofmt and vet, tests, the race detector over the parallel
+# loops, a short fuzz smoke of the parser and JSON codec, and a compile,
+# vet and short test of the separate loadbench module.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test test-short race fuzz-smoke vet bench bench-pnr bench-serve bench-smoke artifacts serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke hammer hammer-full check
+.PHONY: all build test test-short race fuzz-smoke vet loadbench-check bench bench-pnr bench-serve bench-smoke artifacts serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke hammer hammer-full check
 
 all: build
 
@@ -20,7 +21,7 @@ test-short:
 	$(GO) test -short ./...
 
 # Race detector across the tree; -short keeps it focused on the
-# concurrency-bearing paths (worker pool, device cache, parallel
+# concurrency-bearing paths (admission gate, device cache, parallel
 # experiment loops) instead of re-running the slow artifact regeneration
 # under the race scheduler.
 race:
@@ -36,8 +37,17 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDeviceJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzCanonCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 
+# gofmt drift fails the gate before vet runs.
 vet:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+
+# loadbench is a separate module, so `go test ./...` never compiles it;
+# this catches an API change that would break the benchmark. Its
+# end-to-end smoke test skips itself under -short.
+loadbench-check:
+	cd loadbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -short ./...
 
 # Hot-path benchmarks plus the ablation suite. For regression hunting use
 # benchstat: run `go test -bench . -benchmem -count 10 -run '^$$'
@@ -228,4 +238,4 @@ obs-smoke: build
 cluster-smoke: build
 	@GO="$(GO)" ./scripts/cluster_smoke.sh
 
-check: build vet test race hammer fuzz-smoke bench-smoke serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke
+check: build vet loadbench-check test race hammer fuzz-smoke bench-smoke serve-smoke cache-smoke jobs-smoke trace-smoke obs-smoke cluster-smoke

@@ -1,6 +1,6 @@
 // Command parchmint-bench regenerates the paper's evaluation artifacts:
 // every table and figure in DESIGN.md's per-experiment index, plus the
-// wall-clock "timing" pseudo-experiment of the parallel runner.
+// wall-clock "timing" pseudo-experiment (experiments.TimingTable).
 //
 // Usage:
 //
@@ -28,10 +28,10 @@ import (
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/runner"
+	"repro/internal/par"
 )
 
-// timingID is the runner's pseudo-experiment: wall-clock stage profiling.
+// timingID is the wall-clock stage-profiling pseudo-experiment.
 // It is not part of "-exp all" because its output is machine- and
 // run-specific, and "all" is the byte-reproducible golden set.
 const timingID = "timing"
@@ -53,7 +53,7 @@ func main() {
 	if *jobs < 1 {
 		*jobs = runtime.NumCPU()
 	}
-	runner.SetParallelism(*jobs)
+	par.SetParallelism(*jobs)
 	ctx, flushTrace := cli.TraceContext(context.Background(), *traceOut)
 
 	switch {
@@ -77,10 +77,7 @@ func main() {
 			}
 		}
 	case *exp == timingID:
-		tb := runner.TimingTableContext(ctx, bench.Suite(), runner.TimingOptions{
-			Workers: *jobs,
-			Seed:    experiments.Seed,
-		})
+		tb := experiments.TimingTable(ctx, bench.Suite(), *jobs, experiments.Seed)
 		if err := emit(experiments.Artifact{ID: timingID, Text: tb.Render()}, *outdir); err != nil {
 			cli.Fatalf("%s: %v", timingID, err)
 		}

@@ -2,7 +2,7 @@
 // benchmark builds never changes within a process. The experiment harness
 // regenerates every table and figure from the same twelve devices; building
 // each one exactly once and sharing the result across experiments (and
-// across the runner's worker goroutines) removes redundant generator work
+// across parallel-loop worker goroutines) removes redundant generator work
 // without changing a single output byte.
 //
 // Cached devices are shared and must be treated as read-only. Every

@@ -72,7 +72,7 @@ func TestEvictHookAndOversizeEntry(t *testing.T) {
 		t.Errorf("evict hook saw %d, want 1", got)
 	}
 	// An entry larger than the whole cache is refused, evicting nothing.
-	c.Put("huge", entry(1 << 20))
+	c.Put("huge", entry(1<<20))
 	if _, ok := c.Get("huge"); ok {
 		t.Error("oversize entry was stored")
 	}

@@ -1105,12 +1105,12 @@ func (p *Parser) parseFeatureElem(f *Feature) error {
 		return err
 	}
 	var (
-		name, id, layer, conn, typ        string
-		depth                             int64
+		name, id, layer, conn, typ         string
+		depth                              int64
 		locX, locY, srcX, srcY, snkX, snkY int64
-		xspan, yspan, width               int64
-		hasLoc, hasXSpan, hasYSpan        bool
-		hasWidth, hasSrc, hasSnk          bool
+		xspan, yspan, width                int64
+		hasLoc, hasXSpan, hasYSpan         bool
+		hasWidth, hasSrc, hasSnk           bool
 	)
 	first := true
 	for {

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/runner"
+	"repro/internal/par"
 )
 
 // cheapIDs are the experiments fast enough to regenerate several times in
@@ -29,11 +29,11 @@ func renderCheap(t *testing.T) map[string]string {
 // sequentially and twice with the worker-pool parallelism raised, and
 // requires all four renderings to be byte-identical.
 func TestCheapExperimentsDeterministic(t *testing.T) {
-	prev := runner.SetParallelism(1)
-	defer runner.SetParallelism(prev)
+	prev := par.SetParallelism(1)
+	defer par.SetParallelism(prev)
 	seq1 := renderCheap(t)
 	seq2 := renderCheap(t)
-	runner.SetParallelism(8)
+	par.SetParallelism(8)
 	par1 := renderCheap(t)
 	par2 := renderCheap(t)
 	for _, id := range cheapIDs {
@@ -54,11 +54,11 @@ func TestCheapExperimentsDeterministic(t *testing.T) {
 // small subset at 1 and at 8 workers and requires byte-identical output.
 func TestFigSubsetParallelMatchesSequential(t *testing.T) {
 	subset := fig3Subset(t)
-	prev := runner.SetParallelism(1)
-	defer runner.SetParallelism(prev)
+	prev := par.SetParallelism(1)
+	defer par.SetParallelism(prev)
 	f1, t1 := Fig3On(subset)
 	r1 := Fig4On(subset).Render()
-	runner.SetParallelism(8)
+	par.SetParallelism(8)
 	f2, t2 := Fig3On(subset)
 	r2 := Fig4On(subset).Render()
 	if f1.Render() != f2.Render() {
@@ -78,8 +78,8 @@ func TestFigSubsetParallelMatchesSequential(t *testing.T) {
 func TestCheapExperimentsBuildEachBenchmarkOnce(t *testing.T) {
 	bench.ResetBuildCache()
 	defer bench.ResetBuildCache()
-	prev := runner.SetParallelism(4)
-	defer runner.SetParallelism(prev)
+	prev := par.SetParallelism(4)
+	defer par.SetParallelism(prev)
 	renderCheap(t)
 	renderCheap(t)
 	for _, name := range bench.Names() {

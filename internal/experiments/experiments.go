@@ -16,9 +16,9 @@ import (
 	"repro/internal/mint"
 	"repro/internal/mutate"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/place"
 	"repro/internal/route"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/validate"
@@ -96,7 +96,7 @@ func Table3() *stats.Table {
 		// position, so the totals are scheduling-independent.
 		type tally struct{ applicable, detected int }
 		tallies := make([]tally, len(suite))
-		runner.ForEach(0, len(suite), func(i int) {
+		par.ForEach(0, len(suite), func(i int) {
 			d := suite[i].Device()
 			for seed := uint64(0); seed < Table3Trials; seed++ {
 				res := mutate.Trial(d, m, Seed+seed)
@@ -186,7 +186,7 @@ func Fig3On(benchmarks []bench.Benchmark) (*stats.Figure, *stats.Table) {
 	// worker pool and assemble series points and table rows in benchmark
 	// order afterwards, so the artifact bytes never depend on scheduling.
 	perBench := make([][]place.Metrics, len(benchmarks))
-	runner.ForEach(0, len(benchmarks), func(bi int) {
+	par.ForEach(0, len(benchmarks), func(bi int) {
 		b := benchmarks[bi]
 		d := b.Device()
 		perBench[bi] = make([]place.Metrics, len(engines))
@@ -242,7 +242,7 @@ func Fig4On(benchmarks []bench.Benchmark) *stats.Table {
 	// order afterwards.
 	routers := route.Engines()
 	reports := make([][]*route.Report, len(benchmarks))
-	runner.ForEach(0, len(benchmarks), func(bi int) {
+	par.ForEach(0, len(benchmarks), func(bi int) {
 		b := benchmarks[bi]
 		p := annealedPlacement(b)
 		reports[bi] = make([]*route.Report, len(routers))
@@ -277,7 +277,7 @@ const Fig5Points = 5
 // elements examined; place: annealing moves proposed; route: search-node
 // expansions — so the figure is byte-reproducible across machines, runs,
 // and worker counts, and can sit in the golden artifact set. The
-// wall-clock equivalent is the runner's "timing" pseudo-experiment
+// wall-clock equivalent is TimingTable, the "timing" pseudo-experiment
 // (parchmint-bench -exp timing), which is deliberately excluded from it.
 func Fig5() *stats.Figure {
 	f := &stats.Figure{
@@ -290,7 +290,7 @@ func Fig5() *stats.Figure {
 		x, parse, validate, place, route float64
 	}
 	points := make([]point, len(pts))
-	runner.ForEach(0, len(pts), func(i int) {
+	par.ForEach(0, len(pts), func(i int) {
 		pt := pts[i]
 		x := float64(pt.Device.Stats().Components)
 		data, err := core.Marshal(pt.Device)

@@ -1,7 +1,7 @@
 // Parallel execution of the experiment harness. The sequential path
 // (All) and the pooled path (AllParallel) must produce byte-identical
 // artifacts: every randomized stage is seeded by the fixed experiment Seed
-// (or a runner.DeriveSeed of it), never by scheduling order, and every
+// (or a par.DeriveSeed of it), never by scheduling order, and every
 // parallel loop writes into slots indexed by task position. The
 // determinism tests pin this equivalence.
 package experiments
@@ -12,43 +12,31 @@ import (
 	"sync"
 
 	"repro/internal/bench"
+	"repro/internal/par"
 	"repro/internal/place"
-	"repro/internal/runner"
 )
 
-// AllParallel runs every experiment over a worker pool and returns the
+// AllParallel runs every experiment over a parallel loop and returns the
 // same artifacts as All, in the same order, with the same bytes. workers
 // below 1 selects runtime.NumCPU(). Inner per-benchmark loops (placement
-// and routing comparisons, the fault-injection sweep) also fan out onto
-// the pool's worker budget. AllParallel adjusts the process-wide
+// and routing comparisons, the fault-injection sweep) also fan out at the
+// same worker count. AllParallel adjusts the process-wide
 // parallelism default for its duration; concurrent calls with different
 // worker counts are not supported (artifacts would still be correct, but
 // the worker budget would be whichever call set it last).
 func AllParallel(workers int) []Artifact {
-	prev := runner.SetParallelism(workers)
-	defer runner.SetParallelism(prev)
+	prev := par.SetParallelism(workers)
+	defer par.SetParallelism(prev)
 	ids := IDs()
 	arts := make([]Artifact, len(ids))
-	tasks := make([]runner.Task, len(ids))
-	for i, id := range ids {
-		i, id := i, id
-		tasks[i] = runner.Task{
-			ID: id,
-			Run: func(runner.Task) error {
-				text, err := Run(id)
-				if err != nil {
-					return fmt.Errorf("experiments: %s: %w", id, err)
-				}
-				arts[i] = Artifact{ID: id, Text: text}
-				return nil
-			},
+	par.ForEach(0, len(ids), func(i int) {
+		text, err := Run(ids[i])
+		if err != nil {
+			// Only unknown IDs error, and IDs() is the source of truth.
+			panic(fmt.Sprintf("experiments: %s: %v", ids[i], err))
 		}
-	}
-	pool := runner.NewPool(workers)
-	pool.BaseSeed = Seed
-	if err := pool.Run(tasks); err != nil {
-		panic(err) // only unknown IDs error, and IDs() is the source of truth
-	}
+		arts[i] = Artifact{ID: ids[i], Text: text}
+	})
 	return arts
 }
 

@@ -50,9 +50,9 @@ type record struct {
 	// Trace is the W3C traceparent of the submitting request, so a job
 	// replayed on a later boot still correlates with the boot that
 	// accepted it.
-	Trace string `json:"trace,omitempty"`
-	Status   Status          `json:"status,omitempty"`
-	Cache    string          `json:"cache,omitempty"`
+	Trace  string `json:"trace,omitempty"`
+	Status Status `json:"status,omitempty"`
+	Cache  string `json:"cache,omitempty"`
 	// ContentType and Body carry a completed job's materialized result;
 	// Body is base64 on the wire (encoding/json's []byte rendering).
 	ContentType string `json:"content_type,omitempty"`

@@ -47,9 +47,9 @@ type family struct {
 // series is one label-value combination's state.
 type series struct {
 	labelValues []string
-	value       float64  // counter/gauge value, histogram sum
-	count       uint64   // histogram observation count
-	bucketN     []uint64 // cumulative per-bucket counts (histograms)
+	value       float64    // counter/gauge value, histogram sum
+	count       uint64     // histogram observation count
+	bucketN     []uint64   // cumulative per-bucket counts (histograms)
 	exem        []exemplar // per-bucket exemplars, lazily allocated
 }
 

@@ -49,13 +49,13 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"00",
-		sampleTraceparent[:54],                                  // truncated
-		"ff" + sampleTraceparent[2:],                             // version ff is forbidden
-		"0" + sampleTraceparent[2:],                              // bad length
-		strings.ToUpper(sampleTraceparent),                       // uppercase hex
-		"00-" + strings.Repeat("0", 32) + sampleTraceparent[35:], // all-zero trace id
-		sampleTraceparent[:36] + "0000000000000000" + "-01",      // all-zero span id
-		strings.Replace(sampleTraceparent, "-", "_", 1),          // wrong separator
+		sampleTraceparent[:54],             // truncated
+		"ff" + sampleTraceparent[2:],       // version ff is forbidden
+		"0" + sampleTraceparent[2:],        // bad length
+		strings.ToUpper(sampleTraceparent), // uppercase hex
+		"00-" + strings.Repeat("0", 32) + sampleTraceparent[35:],  // all-zero trace id
+		sampleTraceparent[:36] + "0000000000000000" + "-01",       // all-zero span id
+		strings.Replace(sampleTraceparent, "-", "_", 1),           // wrong separator
 		"00-4bf92f3577b34da6a3ce929d0e0e473g-00f067aa0ba902b7-01", // non-hex digit
 	}
 	for _, s := range bad {

@@ -6,15 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Budget is the shared CPU ledger for nested parallelism: when the runner
-// pool (request level) and a solver's internal fan-out (solve level) both
-// want workers, they draw extra-worker tokens from one Budget so the
-// process never runs more compute goroutines than the machine has cores
-// to give them.
+// Budget is the shared CPU ledger for nested parallelism: when the
+// request level (the service's admission gate, an outer ForEach) and a
+// solver's internal fan-out (solve level) both want workers, they draw
+// extra-worker tokens from one Budget so the process never runs more
+// compute goroutines than the machine has cores to give them.
 //
 // The ledger counts *extra* workers only. Every caller already owns its
-// own goroutine — an admitted request, a pool task — so a parallel section
-// that acquires k tokens runs on 1+k goroutines. Acquisition is strictly
+// own goroutine — an admitted request, a loop worker — so a parallel
+// section that acquires k tokens runs on 1+k goroutines. Acquisition is strictly
 // non-blocking (TryAcquire hands out whatever is available, possibly
 // zero), which is what makes nesting deadlock-free by construction: a
 // solve inside a saturated outer gate simply degrades to sequential

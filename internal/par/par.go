@@ -1,11 +1,9 @@
-// Package par holds the repository's low-level parallelism primitives:
-// a bounded worker pool, order-preserving parallel loops, the
-// seed-derivation rule that keeps randomized work deterministic under
-// any scheduling, and the shared CPU budget that bounds nested
-// parallelism. It sits below both the solvers (place, route) and the
-// experiment harness (runner), which re-exports it — solvers import par
-// directly so the harness can keep importing the solvers without a
-// cycle.
+// Package par holds the repository's parallelism primitives: one
+// order-preserving parallel loop (ForEach), the seed-derivation rule that
+// keeps randomized work deterministic under any scheduling (DeriveSeed),
+// and the shared CPU budget that bounds nested parallelism (Budget). It
+// sits below everything that fans out — the solvers (place, route), the
+// experiment harness and the HTTP service — so each imports it directly.
 //
 // The determinism contract every user of this package relies on:
 //
@@ -28,8 +26,9 @@ import (
 )
 
 // parallelism is the process-wide worker count the experiment inner loops
-// consult (see ForEach with n <= 0). It defaults to 1 — fully sequential —
-// and is raised by parchmint-bench's -j flag and by experiments.AllParallel.
+// consult (see ForEach with workers <= 0). It defaults to 1 — fully
+// sequential — and is raised by parchmint-bench's -j flag and by
+// experiments.AllParallel.
 var parallelism atomic.Int64
 
 func init() { parallelism.Store(1) }
@@ -68,95 +67,14 @@ func DeriveSeed(base uint64, id string) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Task is one unit of pool work.
-type Task struct {
-	// ID names the task; it keys the derived seed and the timing table.
-	ID string
-	// Seed is the task's deterministic seed (see Pool.Run).
-	Seed uint64
-	// Run does the work. Panics propagate to the Pool.Run caller.
-	Run func(t Task) error
-}
-
-// Pool executes tasks over a fixed set of worker goroutines.
-type Pool struct {
-	workers int
-	// BaseSeed, when nonzero, fills in each task's Seed as
-	// DeriveSeed(BaseSeed, task.ID) before running it (tasks with an
-	// explicit nonzero Seed keep it).
-	BaseSeed uint64
-}
-
-// NewPool creates a pool. Worker counts below 1 select runtime.NumCPU().
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	return &Pool{workers: workers}
-}
-
-// Workers reports the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// Run executes every task and returns the first error in task order (all
-// tasks run even after a failure, matching the sequential loop's artifact
-// set). A panicking task stops nothing else; the first panic in task order
+// ForEach runs fn(0..n-1) over a bounded set of worker goroutines and
+// blocks until all calls return. workers <= 0 selects the process default
+// (SetParallelism); a resolved worker count of 1 degenerates to a plain
+// loop on the calling goroutine, which is the sequential path the parallel
+// one must match byte-for-byte. Iterations are handed out in index order,
+// and fn reports results by writing slot i of a caller-owned slice. A
+// panicking iteration stops nothing else; the first panic in index order
 // is re-raised on the caller's goroutine after all workers drain.
-func (p *Pool) Run(tasks []Task) error {
-	if len(tasks) == 0 {
-		return nil
-	}
-	errs := make([]error, len(tasks))
-	panics := make([]any, len(tasks))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := p.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				t := tasks[i]
-				if t.Seed == 0 && p.BaseSeed != 0 {
-					t.Seed = DeriveSeed(p.BaseSeed, t.ID)
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					errs[i] = t.Run(t)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	for i, r := range panics {
-		if r != nil {
-			panic(fmt.Sprintf("par: task %q panicked: %v", tasks[i].ID, r))
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForEach runs fn(0..n-1) over a worker pool and blocks until all calls
-// return. workers <= 0 selects the process default (SetParallelism); a
-// resolved worker count of 1 degenerates to a plain loop on the calling
-// goroutine, which is the sequential path the parallel one must match
-// byte-for-byte. Panics propagate like Pool.Run.
 func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -170,13 +88,36 @@ func ForEach(workers, n int, fn func(i int)) {
 		}
 		return
 	}
-	tasks := make([]Task, n)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task{
-			ID:  fmt.Sprintf("i%d", i),
-			Run: func(Task) error { fn(i); return nil },
+	if workers > n {
+		workers = n
+	}
+	panics := make([]any, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							panics[i] = r
+						}
+					}()
+					fn(i)
+				}()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range panics {
+		if r != nil {
+			panic(fmt.Sprintf("par: iteration %d panicked: %v", i, r))
 		}
 	}
-	_ = NewPool(workers).Run(tasks)
 }

@@ -33,7 +33,7 @@ func slotTemp(temp float64, r int) float64 {
 }
 
 // replicaSeed derives replica i's seed from the schedule seed — the same
-// DeriveSeed rule the runner pool uses, so a replica's random stream is a
+// DeriveSeed rule every parallel task uses, so a replica's random stream is a
 // pure function of (seed, i).
 func replicaSeed(seed uint64, i int) uint64 {
 	return par.DeriveSeed(seed, "replica:"+strconv.Itoa(i))

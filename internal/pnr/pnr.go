@@ -45,8 +45,10 @@ type Options struct {
 	// the stage completes (stage names: StagePlace, StageRoute,
 	// StageAttach). A stage aborted by an error or cancellation reports
 	// its partial duration — every started stage is observed exactly once.
-	// The runner's timing harness and the benchmark service use this to
-	// profile the flow without the flow knowing about them.
+	// This hook is the repository's one source of stage durations: the
+	// timing pseudo-experiment (experiments.TimingTable) and the HTTP
+	// service (stage metrics, job progress) use it to profile the flow
+	// without the flow knowing about them.
 	Observe func(stage string, d time.Duration)
 }
 

@@ -8,7 +8,7 @@ import (
 	"net/http"
 
 	"repro/internal/core"
-	"repro/internal/runner"
+	"repro/internal/par"
 )
 
 // maxBatchItems caps one batch request; larger workloads should shard
@@ -68,20 +68,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) error {
 	}
 	ctx := r.Context()
 	results := make([]batchResult, len(breq.Items))
-	tasks := make([]runner.Task, len(breq.Items))
-	for i := range breq.Items {
-		i := i
-		tasks[i] = runner.Task{
-			ID: fmt.Sprintf("item-%d", i),
-			Run: func(runner.Task) error {
-				results[i] = s.runBatchItem(ctx, &breq.Items[i])
-				return nil
-			},
-		}
-	}
-	// Item errors are captured in the result slots, so the pool never
-	// reports one; its only job here is bounded, order-stable fan-out.
-	_ = runner.NewPool(s.gate.Workers()).Run(tasks)
+	// Item errors are captured in the result slots; the loop's only job
+	// is bounded, order-stable fan-out.
+	par.ForEach(s.gate.Workers(), len(breq.Items), func(i int) {
+		results[i] = s.runBatchItem(ctx, &breq.Items[i])
+	})
 	return writeJSON(w, r, http.StatusOK, batchResponse{Items: results})
 }
 

@@ -228,7 +228,7 @@ func saturate(t *testing.T, s *Server, queued int) func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.gate.Do(context.Background(), "hold", func(uint64) error {
+			_ = s.gate.Do(context.Background(), func() error {
 				close(held)
 				<-release
 				return nil
@@ -240,7 +240,7 @@ func saturate(t *testing.T, s *Server, queued int) func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = s.gate.Do(context.Background(), "queued", func(uint64) error { return nil })
+			_ = s.gate.Do(context.Background(), func() error { return nil })
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -68,14 +68,22 @@ func (s *Server) relayResponse(w http.ResponseWriter, resp *http.Response) bool 
 // response back. False means the hop failed — at the transport level
 // (after the client's retry budget) or while reading the peer's body —
 // and nothing was written: the caller serves locally. Determinism makes
-// that fallback safe, just a cache miss on the wrong node.
+// that fallback safe, just a cache miss on the wrong node. Each false
+// return counts once in parchmint_forward_fallback_total by reason; a
+// body failure is otherwise invisible, since the peer forward counter
+// already recorded the hop as ok.
 func (s *Server) forwardTo(w http.ResponseWriter, r *http.Request, owner, contentType string, body []byte) bool {
 	resp, err := s.cluster.Forward(r.Context(), owner, r.Method, r.URL.Path, r.URL.RawQuery, contentType, body)
 	if err != nil {
+		s.mForwardFallback.Inc("transport")
 		return false
 	}
 	defer resp.Body.Close()
-	return s.relayResponse(w, resp)
+	if !s.relayResponse(w, resp) {
+		s.mForwardFallback.Inc("body")
+		return false
+	}
+	return true
 }
 
 // peerJobRelay resolves a job ID the local store does not know by asking

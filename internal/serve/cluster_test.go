@@ -472,6 +472,12 @@ func TestClusterRelayFallsBackOnBrokenPeerBody(t *testing.T) {
 			if h := resp.Header.Get(cacheHeader); h != "miss" {
 				t.Errorf("%s = %q, want miss (computed locally)", cacheHeader, h)
 			}
+			if n := s.mForwardFallback.Value("body"); n != 1 {
+				t.Errorf(`parchmint_forward_fallback_total{reason="body"} = %v, want 1`, n)
+			}
+			if n := s.mForwardFallback.Value("transport"); n != 0 {
+				t.Errorf(`parchmint_forward_fallback_total{reason="transport"} = %v, want 0`, n)
+			}
 		})
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/runner"
+	"repro/internal/par"
 )
 
 // The serving hot path's request-side codec. Decoding runs the shared
@@ -118,7 +118,7 @@ type reqStateKey struct{}
 type reqContext struct {
 	parent context.Context
 	vals   *obs.RequestValues
-	budget any // the server's *runner.Budget, boxed once at construction
+	budget any // the server's *par.Budget, boxed once at construction
 	state  any // the owning *reqState, boxed once at pool insert
 }
 
@@ -130,7 +130,7 @@ func (c *reqContext) Value(key any) any {
 	if v, ok := c.vals.ValueFor(key); ok {
 		return v
 	}
-	if runner.IsBudgetKey(key) {
+	if par.IsBudgetKey(key) {
 		return c.budget
 	}
 	if _, ok := key.(reqStateKey); ok {
@@ -414,7 +414,7 @@ func (s *Server) cacheKey(op string, req *request) string {
 	ks.env = env
 	seed := req.Seed
 	if seed == 0 {
-		seed = runner.DeriveSeed(s.cfg.BaseSeed, req.Bench)
+		seed = par.DeriveSeed(s.cfg.BaseSeed, req.Bench)
 	}
 	var sb [8]byte
 	binary.LittleEndian.PutUint64(sb[:], seed)

@@ -1,30 +1,19 @@
-package runner
+package serve
 
 import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-)
 
-func TestGateDerivesSeeds(t *testing.T) {
-	g := NewGate(2, 2018)
-	var got uint64
-	if err := g.Do(context.Background(), "rotary_pcr", func(seed uint64) error {
-		got = seed
-		return nil
-	}); err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if want := DeriveSeed(2018, "rotary_pcr"); got != want {
-		t.Errorf("seed = %d, want DeriveSeed = %d", got, want)
-	}
-}
+	"repro/internal/par"
+)
 
 func TestGateBoundsConcurrency(t *testing.T) {
 	const workers = 3
-	g := NewGate(workers, 1)
+	g := newGate(workers, 0)
 	if g.Workers() != workers {
 		t.Fatalf("Workers = %d", g.Workers())
 	}
@@ -35,7 +24,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = g.Do(context.Background(), "t", func(uint64) error {
+			_ = g.Do(context.Background(), func() error {
 				mu.Lock()
 				inflight++
 				if inflight > peak {
@@ -59,10 +48,10 @@ func TestGateBoundsConcurrency(t *testing.T) {
 }
 
 func TestGateHonorsCancelledContext(t *testing.T) {
-	g := NewGate(1, 1)
+	g := newGate(1, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := g.Do(ctx, "t", func(uint64) error {
+	err := g.Do(ctx, func() error {
 		t.Error("fn ran despite cancelled context")
 		return nil
 	})
@@ -72,26 +61,26 @@ func TestGateHonorsCancelledContext(t *testing.T) {
 }
 
 func TestGateReleasesSlotOnError(t *testing.T) {
-	g := NewGate(1, 1)
+	g := newGate(1, 0)
 	boom := errors.New("boom")
-	if err := g.Do(context.Background(), "a", func(uint64) error { return boom }); !errors.Is(err, boom) {
+	if err := g.Do(context.Background(), func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("Do = %v", err)
 	}
 	// The slot must be free again: a second call succeeds immediately.
-	if err := g.Do(context.Background(), "b", func(uint64) error { return nil }); err != nil {
+	if err := g.Do(context.Background(), func() error { return nil }); err != nil {
 		t.Fatalf("second Do = %v", err)
 	}
 }
 
 // hold occupies one gate slot until release is closed, reporting on held
 // once the slot is acquired.
-func hold(t *testing.T, g *Gate, held, release chan struct{}) *sync.WaitGroup {
+func hold(t *testing.T, g *gate, held, release chan struct{}) *sync.WaitGroup {
 	t.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_ = g.Do(context.Background(), "hold", func(uint64) error {
+		_ = g.Do(context.Background(), func() error {
 			close(held)
 			<-release
 			return nil
@@ -100,52 +89,63 @@ func hold(t *testing.T, g *Gate, held, release chan struct{}) *sync.WaitGroup {
 	return &wg
 }
 
+// queueWaiter starts one caller that queues behind the held slot and
+// waits until the gate counts it, returning its eventual Do result.
+func queueWaiter(t *testing.T, g *gate) chan error {
+	t.Helper()
+	want := g.Waiting() + 1
+	errc := make(chan error, 1)
+	go func() {
+		errc <- g.Do(context.Background(), func() error { return nil })
+	}()
+	for i := 0; i < 500 && g.Waiting() < want; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if g.Waiting() != want {
+		t.Fatalf("Waiting = %d, want %d", g.Waiting(), want)
+	}
+	return errc
+}
+
 func TestBoundedGateShedsWhenQueueFull(t *testing.T) {
-	g := NewBoundedGate(1, 0, 1)
+	g := newGate(1, 1)
 	held, release := make(chan struct{}), make(chan struct{})
 	wg := hold(t, g, held, release)
 	<-held
-	err := g.Do(context.Background(), "t", func(uint64) error {
-		t.Error("fn ran on a saturated gate with queue depth 0")
+	waiterErr := queueWaiter(t, g)
+	err := g.Do(context.Background(), func() error {
+		t.Error("fn ran on a saturated gate with a full queue")
 		return nil
 	})
-	if !errors.Is(err, ErrSaturated) {
-		t.Errorf("Do = %v, want ErrSaturated", err)
-	}
-	var sat *SaturatedError
+	var sat *saturatedError
 	if !errors.As(err, &sat) {
-		t.Fatalf("Do = %T, want *SaturatedError", err)
+		t.Fatalf("Do = %T (%v), want *saturatedError", err, err)
 	}
-	if sat.Workers != 1 {
-		t.Errorf("SaturatedError.Workers = %d, want 1", sat.Workers)
+	if sat.workers != 1 {
+		t.Errorf("saturatedError.workers = %d, want 1", sat.workers)
 	}
 	close(release)
 	wg.Wait()
+	if err := <-waiterErr; err != nil {
+		t.Errorf("queued waiter Do = %v, want nil", err)
+	}
 	// With the slot free again the same call is admitted.
-	if err := g.Do(context.Background(), "t", func(uint64) error { return nil }); err != nil {
+	if err := g.Do(context.Background(), func() error { return nil }); err != nil {
 		t.Errorf("Do after drain = %v", err)
 	}
 }
 
 func TestBoundedGateQueuesUpToDepth(t *testing.T) {
-	g := NewBoundedGate(1, 1, 1)
+	g := newGate(1, 1)
 	held, release := make(chan struct{}), make(chan struct{})
 	wg := hold(t, g, held, release)
 	<-held
 	// One waiter fits in the queue.
-	waiterErr := make(chan error, 1)
-	go func() {
-		waiterErr <- g.Do(context.Background(), "w", func(uint64) error { return nil })
-	}()
-	for i := 0; i < 200 && g.Waiting() == 0; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if g.Waiting() != 1 {
-		t.Fatalf("Waiting = %d, want 1", g.Waiting())
-	}
+	waiterErr := queueWaiter(t, g)
 	// A second would-be waiter is refused.
-	if err := g.Do(context.Background(), "x", func(uint64) error { return nil }); !errors.Is(err, ErrSaturated) {
-		t.Errorf("second waiter Do = %v, want ErrSaturated", err)
+	var sat *saturatedError
+	if err := g.Do(context.Background(), func() error { return nil }); !errors.As(err, &sat) {
+		t.Errorf("second waiter Do = %v, want *saturatedError", err)
 	}
 	close(release)
 	wg.Wait()
@@ -155,9 +155,9 @@ func TestBoundedGateQueuesUpToDepth(t *testing.T) {
 }
 
 func TestGateShedsWhenDeadlineShorterThanEstimate(t *testing.T) {
-	g := NewGate(1, 1)
+	g := newGate(1, 0)
 	// Seed the service-time estimator with one slow call.
-	if err := g.Do(context.Background(), "seed", func(uint64) error {
+	if err := g.Do(context.Background(), func() error {
 		time.Sleep(120 * time.Millisecond)
 		return nil
 	}); err != nil {
@@ -173,16 +173,15 @@ func TestGateShedsWhenDeadlineShorterThanEstimate(t *testing.T) {
 	// admission instead of queueing to certain failure.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	err := g.Do(ctx, "t", func(uint64) error {
+	err := g.Do(ctx, func() error {
 		t.Error("fn ran despite a hopeless deadline")
 		return nil
 	})
-	if !errors.Is(err, ErrSaturated) {
-		t.Errorf("Do = %v, want ErrSaturated", err)
-	}
-	var sat *SaturatedError
-	if errors.As(err, &sat) && sat.EstimatedWait <= 0 {
-		t.Errorf("EstimatedWait = %v, want > 0", sat.EstimatedWait)
+	var sat *saturatedError
+	if !errors.As(err, &sat) {
+		t.Errorf("Do = %v, want *saturatedError", err)
+	} else if sat.estimatedWait <= 0 {
+		t.Errorf("estimatedWait = %v, want > 0", sat.estimatedWait)
 	}
 	// A generous deadline still queues: deadline-aware shedding must not
 	// turn into unconditional shedding.
@@ -190,7 +189,7 @@ func TestGateShedsWhenDeadlineShorterThanEstimate(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		done <- g.Do(ctx, "ok", func(uint64) error { return nil })
+		done <- g.Do(ctx, func() error { return nil })
 	}()
 	for i := 0; i < 200 && g.Waiting() == 0; i++ {
 		time.Sleep(time.Millisecond)
@@ -203,10 +202,7 @@ func TestGateShedsWhenDeadlineShorterThanEstimate(t *testing.T) {
 }
 
 func TestUnboundedGateNeverShedsOnDepth(t *testing.T) {
-	g := NewGate(1, 1)
-	if g.QueueDepth() >= 0 {
-		t.Fatalf("NewGate queue depth = %d, want unbounded (negative)", g.QueueDepth())
-	}
+	g := newGate(1, 0)
 	held, release := make(chan struct{}), make(chan struct{})
 	wg := hold(t, g, held, release)
 	<-held
@@ -214,7 +210,7 @@ func TestUnboundedGateNeverShedsOnDepth(t *testing.T) {
 	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			errs <- g.Do(context.Background(), "w", func(uint64) error { return nil })
+			errs <- g.Do(context.Background(), func() error { return nil })
 		}()
 	}
 	for i := 0; i < 500 && g.Waiting() < waiters; i++ {
@@ -225,6 +221,56 @@ func TestUnboundedGateNeverShedsOnDepth(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		if err := <-errs; err != nil {
 			t.Errorf("waiter %d: %v", i, err)
+		}
+	}
+}
+
+// TestBudgetNoDeadlockUnderSaturatedGate pins the non-blocking guarantee:
+// work admitted through a fully saturated 1-slot gate that then opens an
+// inner budgeted section on an empty budget must complete (degrading to
+// sequential), not wait for tokens that can never arrive.
+func TestBudgetNoDeadlockUnderSaturatedGate(t *testing.T) {
+	g := newGate(1, 0)
+	b := par.NewBudget(1)
+	// Exhaust the budget from outside so the gated work finds it empty.
+	if got := b.TryAcquire(1); got != 1 {
+		t.Fatal("failed to drain budget")
+	}
+	defer b.Release(1)
+
+	ctx := par.ContextWithBudget(context.Background(), b)
+	done := make(chan error, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done <- g.Do(ctx, func() error {
+				workers, release := par.AcquireWorkers(ctx, 8)
+				defer release()
+				if workers != 1 {
+					t.Errorf("workers = %d on an empty budget, want 1", workers)
+				}
+				var n atomic.Int64
+				par.ForEach(workers, 16, func(int) { n.Add(1) })
+				if n.Load() != 16 {
+					t.Errorf("inner loop ran %d of 16 iterations", n.Load())
+				}
+				return nil
+			})
+		}()
+	}
+
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock: gated budgeted work did not complete")
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("gate.Do: %v", err)
 		}
 	}
 }

@@ -18,11 +18,11 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mint"
+	"repro/internal/par"
 	"repro/internal/place"
 	"repro/internal/pnr"
 	"repro/internal/render"
 	"repro/internal/route"
-	"repro/internal/runner"
 	"repro/internal/schema"
 	"repro/internal/stats"
 	"repro/internal/validate"
@@ -275,11 +275,11 @@ func (s *Server) replicas(req *request) int {
 
 // gateDo admits fn through the worker gate, translating gate saturation
 // into the service's typed overload error (429 + Retry-After).
-func (s *Server) gateDo(ctx context.Context, id string, fn func(seed uint64) error) error {
-	err := s.gate.Do(ctx, id, fn)
-	var sat *runner.SaturatedError
+func (s *Server) gateDo(ctx context.Context, fn func() error) error {
+	err := s.gate.Do(ctx, fn)
+	var sat *saturatedError
 	if errors.As(err, &sat) {
-		return &OverloadedError{RetryAfter: retryAfterHint(sat.EstimatedWait), cause: sat}
+		return &OverloadedError{RetryAfter: retryAfterHint(sat.estimatedWait), cause: sat}
 	}
 	return err
 }
@@ -451,12 +451,12 @@ func (s *Server) execPNR(ctx context.Context, req *request) (cache.Entry, error)
 	if err != nil {
 		return cache.Entry{}, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
+	seed := req.Seed
+	if seed == 0 {
+		seed = par.DeriveSeed(s.cfg.BaseSeed, res.Device.Name)
+	}
 	var resp pnrResponse
-	err = s.gateDo(ctx, res.Device.Name, func(derived uint64) error {
-		seed := req.Seed
-		if seed == 0 {
-			seed = derived
-		}
+	err = s.gateDo(ctx, func() error {
 		opts := []pnr.Option{
 			pnr.WithPlacer(placer),
 			pnr.WithRouter(router),
@@ -548,9 +548,9 @@ func (s *Server) execRender(ctx context.Context, req *request) (cache.Entry, err
 	}
 	d := res.Device
 	if !d.HasFeatures() {
-		err := s.gateDo(ctx, d.Name, func(seed uint64) error {
+		err := s.gateDo(ctx, func() error {
 			result, err := pnr.RunContext(ctx, d, pnr.NewOptions(
-				pnr.WithSeed(seed),
+				pnr.WithSeed(par.DeriveSeed(s.cfg.BaseSeed, d.Name)),
 				pnr.WithReplicas(s.replicas(req)),
 				pnr.WithParallelNets(s.cfg.RouteWorkers),
 				pnr.WithObserver(s.stageObserver(ctx, d.Name)),

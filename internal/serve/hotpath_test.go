@@ -18,7 +18,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
-	"repro/internal/runner"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -255,7 +255,7 @@ func TestCacheKeyMatchesLegacy(t *testing.T) {
 		}
 		seed := req.Seed
 		if seed == 0 {
-			seed = runner.DeriveSeed(s.cfg.BaseSeed, req.Bench)
+			seed = par.DeriveSeed(s.cfg.BaseSeed, req.Bench)
 		}
 		var sb [8]byte
 		binary.LittleEndian.PutUint64(sb[:], seed)

@@ -2,8 +2,8 @@
 // conversion, place-and-route, characterization, and SVG rendering — as a
 // concurrent HTTP JSON service. Handlers consume the same public pipeline
 // API as the command-line tools (cli.Load, pnr.RunContext, stats, render),
-// admission is bounded by a runner.Gate with optional load shedding, and
-// seeds follow the runner's determinism contract: identical request bodies
+// admission is bounded by a worker gate with optional load shedding, and
+// seeds follow par's determinism contract: identical request bodies
 // produce byte-identical responses at any worker count. That contract is
 // what makes the content-addressed result cache safe: a stored response is
 // indistinguishable from a recomputed one. Telemetry — spans into a ring
@@ -29,7 +29,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/runner"
+	"repro/internal/par"
 )
 
 // Config tunes the service.
@@ -130,15 +130,6 @@ func (c Config) jobHeartbeat() time.Duration {
 	return c.JobHeartbeat
 }
 
-// queueDepth maps the config's 0-means-unbounded convention onto the
-// gate's negative-means-unbounded one.
-func (c Config) queueDepth() int {
-	if c.QueueDepth <= 0 {
-		return -1
-	}
-	return c.QueueDepth
-}
-
 func (c Config) traceSample() float64 {
 	if c.TraceSample == 0 {
 		return obs.DefaultTraceSample
@@ -154,8 +145,8 @@ func (c Config) traceSample() float64 {
 // every request context carries.
 type Server struct {
 	cfg    Config
-	gate   *runner.Gate
-	budget *runner.Budget
+	gate   *gate
+	budget *par.Budget
 	// budgetVal is the budget boxed once, so the per-request context can
 	// answer budget lookups without re-boxing.
 	budgetVal any
@@ -195,18 +186,22 @@ type Server struct {
 	// mJournalDropped surfaces unparseable journal lines skipped at boot,
 	// so mid-file corruption is visible before a handoff replays from it.
 	mJournalDropped *obs.Counter
+
+	// mForwardFallback counts forwarding hops that failed and were
+	// served locally instead; registered only with a cluster.
+	mForwardFallback *obs.Counter // {reason}
 }
 
 // New builds a server; the zero Config selects all defaults.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:  cfg,
-		gate: runner.NewBoundedGate(cfg.Workers, cfg.queueDepth(), cfg.BaseSeed),
+		gate: newGate(cfg.Workers, cfg.QueueDepth),
 		// One process-wide CPU ledger for the solvers' nested parallelism
 		// (replica annealing, speculative routing): admitted requests own
 		// their goroutine; extra fan-out draws tokens from this budget, so
 		// gate × solver parallelism can never oversubscribe the machine.
-		budget: runner.NewBudget(0),
+		budget: par.NewBudget(0),
 		reg:    obs.NewRegistry(),
 		tracer: obs.NewTracer(cfg.TraceEvents),
 		start:  time.Now(),
@@ -318,6 +313,8 @@ func New(cfg Config) *Server {
 			panic(fmt.Sprintf("serve: invalid cluster config: %v", err))
 		}
 		s.cluster = cl
+		s.mForwardFallback = s.reg.Counter("parchmint_forward_fallback_total",
+			"Forwarding hops that failed and were computed locally, by reason (transport, body).", "reason")
 	}
 	s.mCacheCells = make(map[string]*[3]*obs.CounterCell, len(operations))
 	for _, op := range operations {

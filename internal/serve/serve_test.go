@@ -14,6 +14,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/par"
+	"repro/internal/pnr"
+	"repro/internal/render"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -487,4 +493,81 @@ func TestErrorEnvelopeFallbackCodes(t *testing.T) {
 			t.Errorf("%s %s: request_id = %q, header = %q", tc.method, tc.path, eb.RequestID, w.Header().Get("X-Request-Id"))
 		}
 	}
+}
+
+// TestServedSeedIsDerivedFromBaseSeedAndDeviceName pins the seed a
+// request without an explicit one runs with: par.DeriveSeed of the
+// server's base seed and the device's name, computed by the handler
+// before admission. Both gated endpoints must reproduce a direct
+// pnr.RunContext at that seed with the server's default options.
+func TestServedSeedIsDerivedFromBaseSeedAndDeviceName(t *testing.T) {
+	h := newTestServer(2)
+	run := func(d *core.Device) *core.Device {
+		t.Helper()
+		res, err := pnr.RunContext(context.Background(), d,
+			pnr.NewOptions(pnr.WithSeed(par.DeriveSeed(BaseSeedDefault, d.Name))))
+		if err != nil {
+			t.Fatalf("pnr %s: %v", d.Name, err)
+		}
+		return res.Device
+	}
+
+	t.Run("pnr", func(t *testing.T) {
+		w := do(t, h, "POST", "/v1/pnr", `{"bench":"rotary_pcr"}`)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body)
+		}
+		var resp struct {
+			Seed   uint64          `json:"seed"`
+			Device json.RawMessage `json:"device"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if want := par.DeriveSeed(BaseSeedDefault, "rotary_pcr"); resp.Seed != want {
+			t.Errorf("seed = %d, want DeriveSeed(BaseSeedDefault, rotary_pcr) = %d", resp.Seed, want)
+		}
+		b, err := bench.ByName("rotary_pcr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.MarshalCanonical(run(b.Build()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resp.Device, want) {
+			t.Error("served device differs from pnr.RunContext at the derived seed")
+		}
+	})
+
+	t.Run("render", func(t *testing.T) {
+		b, err := bench.ByName("aquaflex_3b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := b.Build()
+		d.Name = "seed_probe"
+		if d.HasFeatures() {
+			t.Fatal("probe device already has features; render would skip pnr")
+		}
+		data, err := core.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, h, "POST", "/v1/render.svg", `{"device":`+string(data)+`}`)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body)
+		}
+		inline, err := core.Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := render.SVG(run(inline), render.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Body.String() != want {
+			t.Error("served SVG differs from render.SVG of the device placed and routed at the derived seed")
+		}
+	})
 }
