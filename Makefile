@@ -74,9 +74,8 @@ bench-pnr:
 bench-serve:
 	$(GO) run ./cmd/parchmint-perf -suite serve -o BENCH_serve.json
 
-# Determinism hammer under the race detector: parallel replicas,
-# speculative net routing, and starved CPU budgets must reproduce the
-# sequential golden byte for byte. -short trims the matrix to the small
+# Determinism hammer under the race detector: full-width replicas and a
+# starved CPU budget must reproduce the sequential golden byte for byte. -short trims the matrix to the small
 # devices so the race scheduler stays affordable in the commit gate;
 # hammer-full sweeps every bench device at replicas {1,2,4,8}.
 hammer:

@@ -274,10 +274,11 @@ func searchGrid() *geom.Grid {
 
 // pairSuffixSeq/Par name the paired parallel-flow kernels: the same
 // (device, seed, replicas) workload measured under a drained CPU budget
-// (strictly sequential schedule) and at full width with speculative net
-// routing. The determinism contract says the pair performs the identical
-// search, so enforcePairs fails the run if their work counters diverge —
-// the perf tool doubles as a determinism check on every regeneration.
+// (strictly sequential schedule) and at full width, where the tempering
+// replicas anneal concurrently. The determinism contract says the pair
+// performs the identical search, so enforcePairs fails the run if their
+// work counters diverge — the perf tool doubles as a determinism check on
+// every regeneration.
 const (
 	pairSuffixSeq = "/seq"
 	pairSuffixPar = "/par"
@@ -333,8 +334,6 @@ func parallelKernels(replicas int) []kernel {
 	for _, name := range perfDevices {
 		d := device(name)
 		opts := pnr.NewOptions(pnr.WithSeed(1), pnr.WithReplicas(replicas))
-		parOpts := pnr.NewOptions(pnr.WithSeed(1), pnr.WithReplicas(replicas),
-			pnr.WithParallelNets(-1))
 		base := fmt.Sprintf("pnr/flow/%s/replicas=%d", name, replicas)
 		seqCtx := drainedContext()
 		ks = append(ks,
@@ -353,7 +352,7 @@ func parallelKernels(replicas int) []kernel {
 				name:  base + pairSuffixPar,
 				iters: 3,
 				fn: func() map[string]float64 {
-					res, err := pnr.RunContext(context.Background(), d, parOpts)
+					res, err := pnr.RunContext(context.Background(), d, opts)
 					if err != nil {
 						cli.Fatalf("parchmint-perf: %v", err)
 					}

@@ -33,7 +33,6 @@ func main() {
 	utilization := flag.Float64("utilization", 0, "die utilization (0 = default)")
 	ordering := flag.String("order", "", "net order: short-first, long-first, as-given")
 	replicas := flag.Int("replicas", 0, "parallel-tempering replicas for the annealer (<2 = single-replica)")
-	routeWorkers := flag.Int("route-workers", 0, "speculative net-search workers (<2 = sequential, -1 = NumCPU; output is identical at any width)")
 	out := flag.String("o", "", "output file (default stdout)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the flow to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the flow) to this file")
@@ -76,7 +75,6 @@ func main() {
 		pnr.WithSeed(*seed),
 		pnr.WithOrdering(route.Order(*ordering)),
 		pnr.WithReplicas(*replicas),
-		pnr.WithParallelNets(*routeWorkers),
 	}
 	if *utilization > 0 {
 		opts = append(opts, pnr.WithUtilization(*utilization))

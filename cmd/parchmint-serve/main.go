@@ -13,7 +13,7 @@
 //	parchmint-serve [-addr :8080] [-j N] [-seed N] [-max-body BYTES]
 //	                [-timeout D] [-cache-bytes BYTES] [-queue-depth N]
 //	                [-port-file PATH] [-log-format text|json]
-//	                [-trace-events N] [-replicas N] [-route-workers N]
+//	                [-trace-events N] [-replicas N]
 //	                [-journal PATH] [-job-timeout D] [-max-jobs N]
 //	                [-flight-requests N] [-trace-sample P]
 //	                [-peers URL,URL,... -self URL] [-peer-health D]
@@ -112,7 +112,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "request log format: text or json")
 	traceEvents := flag.Int("trace-events", 0, "span ring buffer capacity for /debug/trace (0 = default)")
 	replicas := flag.Int("replicas", 0, "default annealing replica count for pnr requests (<2 = single-replica; requests may override with \"replicas\")")
-	routeWorkers := flag.Int("route-workers", 0, "speculative net-search workers for routing (<2 = sequential, -1 = NumCPU; never changes response bytes)")
 	flightRequests := flag.Int("flight-requests", obs.DefaultFlightRequests, "flight recorder capacity for /debug/requests (0 disables the recorder)")
 	traceSample := flag.Float64("trace-sample", obs.DefaultTraceSample, "probability an ordinary request is kept by the flight recorder (errors, shed, and slow requests are always kept; 0 = only those)")
 	journalPath := flag.String("journal", "", "append job transitions to this JSONL file and replay it on boot (empty = in-memory jobs only)")
@@ -165,7 +164,6 @@ func main() {
 		Logger:             obs.NewLogger(*logFormat, os.Stderr),
 		TraceEvents:        *traceEvents,
 		Replicas:           *replicas,
-		RouteWorkers:       *routeWorkers,
 		Journal:            journal,
 		JobTimeout:         *jobTimeout,
 		MaxJobs:            *maxJobs,

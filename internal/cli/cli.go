@@ -170,20 +170,6 @@ func LoadArg(ctx context.Context, arg string) (*Result, error) {
 	return Load(ctx, Source{Name: arg, Format: format, Reader: f})
 }
 
-// LoadDevice reads a device from the given source argument (see LoadArg),
-// printing MINT conversion notes to stderr.
-//
-// Deprecated: new call sites should use LoadArg (notes as values) or Load
-// (explicit source and format) instead.
-func LoadDevice(src string) (*core.Device, error) {
-	res, err := LoadArg(context.Background(), src)
-	if err != nil {
-		return nil, err
-	}
-	res.PrintNotes(os.Stderr)
-	return res.Device, nil
-}
-
 // WriteOutput writes data to the path, or to stdout when path is "" or "-".
 func WriteOutput(path string, data []byte) error {
 	if path == "" || path == "-" {

@@ -13,14 +13,14 @@ import (
 )
 
 func TestLoadDeviceFromBenchmark(t *testing.T) {
-	d, err := LoadDevice("bench:rotary_pcr")
+	res, err := LoadArg(context.Background(), "bench:rotary_pcr")
 	if err != nil {
-		t.Fatalf("LoadDevice: %v", err)
+		t.Fatalf("LoadArg: %v", err)
 	}
-	if d.Name != "rotary_pcr" {
-		t.Errorf("name = %q", d.Name)
+	if res.Device.Name != "rotary_pcr" {
+		t.Errorf("name = %q", res.Device.Name)
 	}
-	if _, err := LoadDevice("bench:nope"); err == nil {
+	if _, err := LoadArg(context.Background(), "bench:nope"); err == nil {
 		t.Error("unknown benchmark should fail")
 	}
 }
@@ -39,11 +39,11 @@ func TestLoadDeviceFromJSONFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadDevice(path)
+	got, err := LoadArg(context.Background(), path)
 	if err != nil {
-		t.Fatalf("LoadDevice: %v", err)
+		t.Fatalf("LoadArg: %v", err)
 	}
-	if !core.Equal(want, got) {
+	if !core.Equal(want, got.Device) {
 		t.Error("loaded device differs")
 	}
 }
@@ -54,27 +54,27 @@ func TestLoadDeviceFromMintFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := LoadDevice(path)
+	res, err := LoadArg(context.Background(), path)
 	if err != nil {
-		t.Fatalf("LoadDevice: %v", err)
+		t.Fatalf("LoadArg: %v", err)
 	}
-	if d.Name != "demo" || len(d.Components) != 2 {
+	if d := res.Device; d.Name != "demo" || len(d.Components) != 2 {
 		t.Errorf("device = %q with %d components", d.Name, len(d.Components))
 	}
 }
 
 func TestLoadDeviceErrors(t *testing.T) {
-	if _, err := LoadDevice("/does/not/exist.json"); err == nil {
+	if _, err := LoadArg(context.Background(), "/does/not/exist.json"); err == nil {
 		t.Error("missing file should fail")
 	}
 	path := filepath.Join(t.TempDir(), "bad.json")
 	os.WriteFile(path, []byte("not json"), 0o644)
-	if _, err := LoadDevice(path); err == nil {
+	if _, err := LoadArg(context.Background(), path); err == nil {
 		t.Error("bad JSON should fail")
 	}
 	mintPath := filepath.Join(t.TempDir(), "bad.mint")
 	os.WriteFile(mintPath, []byte("not mint"), 0o644)
-	if _, err := LoadDevice(mintPath); err == nil {
+	if _, err := LoadArg(context.Background(), mintPath); err == nil {
 		t.Error("bad MINT should fail")
 	}
 }

@@ -53,6 +53,11 @@ var ErrNotFound = errors.New("job: not found")
 // running. Callers should surface it as overload (429).
 var ErrTooManyJobs = errors.New("job: too many active jobs")
 
+// ErrJournal reports that a submission's journal record could not be
+// written, so the job was not accepted: acknowledging it would promise a
+// durability replay cannot keep. Callers should surface it as 503.
+var ErrJournal = errors.New("job: journal unavailable")
+
 // ErrNotFinished reports a result request against a job that has not
 // completed.
 var ErrNotFinished = errors.New("job: not finished")
@@ -203,6 +208,9 @@ type Store struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
 	order []string
+	// pending counts retention slots held by submissions whose journal
+	// record is still being written; they count against the cap.
+	pending int
 }
 
 // NewStore builds a store and, when a journal is configured, replays it:
@@ -241,20 +249,33 @@ func (s *Store) nextID() string {
 
 // Submit durably records a new job and enqueues it for execution. The
 // journal line is written before Submit returns, so an acknowledged
-// submission survives an immediate crash.
+// submission survives an immediate crash. When that write fails the job
+// is dropped unseen and the error wraps ErrJournal.
 func (s *Store) Submit(op string, envelope json.RawMessage, key, trace string) (Snapshot, error) {
 	j := newJob(s.nextID(), op, key, envelope, trace)
 	s.mu.Lock()
-	for len(s.order) >= s.cfg.maxJobs() {
+	for len(s.order)+s.pending >= s.cfg.maxJobs() {
 		if !s.evictOldestTerminalLocked() {
 			s.mu.Unlock()
 			return Snapshot{}, ErrTooManyJobs
 		}
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.pending++
 	s.mu.Unlock()
-	s.journalAppend(record{E: recSubmit, ID: j.id, Op: op, Key: key, Envelope: envelope, Trace: trace})
+	var err error
+	if s.cfg.Journal != nil {
+		err = s.cfg.Journal.Append(record{E: recSubmit, ID: j.id, Op: op, Key: key, Envelope: envelope, Trace: trace})
+	}
+	s.mu.Lock()
+	s.pending--
+	if err == nil {
+		s.jobs[j.id] = j
+		s.order = append(s.order, j.id)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("%w: %w", ErrJournal, err)
+	}
 	if s.cfg.Hooks.Submitted != nil {
 		s.cfg.Hooks.Submitted()
 	}
@@ -436,9 +457,10 @@ func (s *Store) resultPath(id string) string {
 	return s.cfg.ResultPath(id)
 }
 
-// journalAppend persists one transition. Journal failures (disk full,
-// closed file during shutdown) degrade durability, not availability: the
-// in-memory job proceeds and the error is dropped by design.
+// journalAppend persists one transition after the submit record. Its
+// failures (disk full, closed file during shutdown) degrade durability,
+// not availability: the in-memory job proceeds, replay re-runs a job
+// whose finish record is missing, and the error is dropped by design.
 func (s *Store) journalAppend(r record) {
 	if s.cfg.Journal == nil {
 		return

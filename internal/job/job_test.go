@@ -207,6 +207,40 @@ func TestTooManyActiveJobs(t *testing.T) {
 	}
 }
 
+// TestSubmitJournalFailure pins that a submission whose journal record
+// fails is refused whole: no retained job, no Submitted hook, no
+// execution, and its reserved retention slot is returned.
+func TestSubmitJournalFailure(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close() // appends after Close fail
+	var submitted, ran atomic.Int64
+	s := NewStore(Config{Workers: 1, MaxJobs: 1, Journal: j,
+		Hooks: Hooks{Submitted: func() { submitted.Add(1) }},
+		Exec: func(ctx context.Context, op string, env json.RawMessage) (cache.Entry, string, error) {
+			ran.Add(1)
+			return cache.Entry{ContentType: "t", Body: []byte("x")}, "miss", nil
+		}})
+	defer s.Close()
+	if _, err := s.Submit("stats", json.RawMessage(`{}`), "k", ""); !errors.Is(err, ErrJournal) {
+		t.Fatalf("Submit with a closed journal: err = %v, want ErrJournal", err)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Errorf("retained %d jobs after a failed submit", n)
+	}
+	if submitted.Load() != 0 || ran.Load() != 0 {
+		t.Errorf("failed submit reached hooks (%d) or exec (%d)", submitted.Load(), ran.Load())
+	}
+	s.mu.Lock()
+	pending := s.pending
+	s.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("pending = %d after a failed submit, want 0", pending)
+	}
+}
+
 func TestJournalReplayCompletedAndInterrupted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := OpenJournal(path)

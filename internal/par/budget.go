@@ -94,10 +94,9 @@ func IsBudgetKey(key any) bool {
 	return ok
 }
 
-// ContextWithBudget attaches a CPU budget to the context. Parallel
-// sections below (the multi-replica annealer, the concurrent net router)
-// size their worker fan-out against it via AcquireWorkers. A nil budget
-// returns ctx unchanged.
+// ContextWithBudget attaches a CPU budget to the context. The parallel
+// section below (the multi-replica annealer) sizes its worker fan-out
+// against it via AcquireWorkers. A nil budget returns ctx unchanged.
 func ContextWithBudget(ctx context.Context, b *Budget) context.Context {
 	if b == nil {
 		return ctx

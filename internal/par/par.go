@@ -2,7 +2,7 @@
 // order-preserving parallel loop (ForEach), the seed-derivation rule that
 // keeps randomized work deterministic under any scheduling (DeriveSeed),
 // and the shared CPU budget that bounds nested parallelism (Budget). It
-// sits below everything that fans out — the solvers (place, route), the
+// sits below everything that fans out — the placer's replica annealing, the
 // experiment harness and the HTTP service — so each imports it directly.
 //
 // The determinism contract every user of this package relies on:

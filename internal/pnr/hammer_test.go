@@ -87,8 +87,6 @@ type hammerVariant struct {
 	// budgetCap sizes the context budget: 0 = no budget (full width),
 	// otherwise a budget with budgetCap-1 extra tokens.
 	budgetCap int
-	// routeWorkers is the speculative net-search width (0 = sequential).
-	routeWorkers int
 	// runs repeats the variant to catch scheduling-dependent flakiness.
 	runs int
 }
@@ -105,9 +103,8 @@ func (v hammerVariant) context() context.Context {
 func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammerVariant) {
 	t.Helper()
 	variants = []hammerVariant{
-		{name: "wide", budgetCap: 0, routeWorkers: 0, runs: 1},
-		{name: "wide+nets", budgetCap: 0, routeWorkers: 4, runs: 2},
-		{name: "budget2+nets", budgetCap: 2, routeWorkers: 8, runs: 1},
+		{name: "wide", budgetCap: 0, runs: 2},
+		{name: "budget2", budgetCap: 2, runs: 1},
 	}
 	switch {
 	case os.Getenv(hammerFullEnv) != "":
@@ -118,8 +115,7 @@ func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammer
 	case testing.Short():
 		devices = []string{"rotary_pcr", "aquaflex_3b", "hiv_diagnostics"}
 		reps = []int{1, 4}
-		variants = variants[1:] // keep the two widest schedules
-		variants[0].runs = 1
+		variants[0].runs = 1 // both schedules, one run each
 	default:
 		devices = []string{
 			"rotary_pcr", "hiv_diagnostics", "aquaflex_3b",
@@ -132,9 +128,9 @@ func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammer
 
 // TestDeterminismHammer runs the matrix: for each device and replica
 // count, compute the sequential golden under a drained budget, then
-// demand that every parallel schedule — full-width replicas, speculative
-// net routing, a starved two-slot budget, repeated runs — reproduces it
-// byte for byte, counters included.
+// demand that every parallel schedule — full-width replicas, a starved
+// two-slot budget, repeated runs — reproduces it byte for byte, counters
+// included.
 func TestDeterminismHammer(t *testing.T) {
 	devices, reps, variants := hammerMatrix(t)
 	for _, name := range devices {
@@ -142,11 +138,9 @@ func TestDeterminismHammer(t *testing.T) {
 		for _, n := range reps {
 			t.Run(fmt.Sprintf("%s/replicas=%d", name, n), func(t *testing.T) {
 				t.Parallel()
-				golden := hammerRun(t, drainedContext(t), d,
-					NewOptions(WithSeed(1), WithReplicas(n)))
+				opts := NewOptions(WithSeed(1), WithReplicas(n))
+				golden := hammerRun(t, drainedContext(t), d, opts)
 				for _, v := range variants {
-					opts := NewOptions(WithSeed(1), WithReplicas(n),
-						WithParallelNets(v.routeWorkers))
 					for run := 0; run < v.runs; run++ {
 						got := hammerRun(t, v.context(), d, opts)
 						if !bytes.Equal(got, golden) {

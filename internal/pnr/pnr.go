@@ -90,13 +90,6 @@ func WithOrdering(ord route.Order) Option { return func(o *Options) { o.Route.Or
 // at any worker count or CPU budget.
 func WithReplicas(n int) Option { return func(o *Options) { o.Place.Replicas = n } }
 
-// WithParallelNets sets the router's speculative net-search worker count.
-// Values above 1 search that many nets concurrently; negative selects
-// runtime.NumCPU(); 0 and 1 keep the sequential flow. Unlike replicas
-// this knob never changes the artifact — parallel routing commits in net
-// order and is byte-identical to sequential at any width.
-func WithParallelNets(workers int) Option { return func(o *Options) { o.Route.Workers = workers } }
-
 // WithPlaceOptions replaces the whole placement option block.
 func WithPlaceOptions(po place.Options) Option { return func(o *Options) { o.Place = po } }
 

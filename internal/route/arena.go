@@ -1,7 +1,6 @@
 package route
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/geom"
@@ -32,46 +31,14 @@ type searchArena struct {
 	next    []geom.Cell
 	scratch []geom.Cell
 	rev     []geom.Cell
-	// Visited-set collection for speculative routing (see parallel.go):
-	// when a collector rides the search context, every stamped cell index
-	// is also appended to log, and release() drains the log into the
-	// collector. The sequential path pays one predictable branch per
-	// visit and nothing else.
-	collect bool
-	log     []int32
-	col     *visitCollector
-}
-
-// visitCollector accumulates the stamped cell indices of the searches run
-// under a context carrying it — the exact set of cells a search observed
-// to be free, which is what the speculative commit's conflict test needs.
-type visitCollector struct{ cells []int32 }
-
-// collectorKey carries a visitCollector through a context.
-type collectorKey struct{}
-
-// withCollector attaches a visit collector to the context; every
-// Router.Search under it appends its stamped cell set to the collector.
-func withCollector(ctx context.Context, c *visitCollector) context.Context {
-	return context.WithValue(ctx, collectorKey{}, c)
-}
-
-func collectorFrom(ctx context.Context) *visitCollector {
-	c, _ := ctx.Value(collectorKey{}).(*visitCollector)
-	return c
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(searchArena) }}
 
 // acquireArena takes a pooled arena sized for g and opens a fresh
-// generation, wired to the context's visit collector when one is
-// attached. Callers must release() it when the search ends.
-func acquireArena(ctx context.Context, g *geom.Grid) *searchArena {
+// generation. Callers must release() it when the search ends.
+func acquireArena(g *geom.Grid) *searchArena {
 	a := arenaPool.Get().(*searchArena)
-	if col := collectorFrom(ctx); col != nil {
-		a.collect = true
-		a.col = col
-	}
 	n := g.NumCells()
 	if len(a.stamp) < n {
 		a.stamp = make([]uint32, n)
@@ -95,12 +62,6 @@ func acquireArena(ctx context.Context, g *geom.Grid) *searchArena {
 }
 
 func (a *searchArena) release() {
-	if a.col != nil {
-		a.col.cells = append(a.col.cells, a.log...)
-		a.col = nil
-	}
-	a.collect = false
-	a.log = a.log[:0]
 	a.g = nil
 	arenaPool.Put(a)
 }
@@ -109,12 +70,7 @@ func (a *searchArena) release() {
 func (a *searchArena) visited(i int32) bool { return a.stamp[i] == a.gen }
 
 // visit stamps cell index i into the current generation.
-func (a *searchArena) visit(i int32) {
-	a.stamp[i] = a.gen
-	if a.collect {
-		a.log = append(a.log, i)
-	}
-}
+func (a *searchArena) visit(i int32) { a.stamp[i] = a.gen }
 
 func (a *searchArena) index(c geom.Cell) int32 { return int32(c.Row*a.g.Cols() + c.Col) }
 

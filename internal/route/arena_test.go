@@ -114,7 +114,7 @@ func (e errResult) Error() string {
 func TestArenaHeapOrder(t *testing.T) {
 	rng := xrand.New(42)
 	for trial := 0; trial < 50; trial++ {
-		a := acquireArena(context.Background(), mustGrid(t))
+		a := acquireArena(mustGrid(t))
 		n := 1 + rng.Intn(200)
 		items := make([]pqItem, n)
 		for i := range items {

@@ -3,12 +3,10 @@ package route
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/par"
 	"repro/internal/place"
 )
 
@@ -41,13 +39,6 @@ type Options struct {
 	// max(20, nets/4). Rip-up is the expensive recovery path — every
 	// transaction re-runs searches for the victims — so it is budgeted.
 	MaxRipups int
-	// Workers sizes the speculative net-search fan-out: values above 1
-	// search that many nets concurrently (bounded by the context's CPU
-	// budget), negative selects runtime.NumCPU(), and 0 or 1 keep the
-	// classic sequential flow. Any value produces byte-identical reports —
-	// speculative results commit in net order and only when provably equal
-	// to what the sequential search would have returned (see parallel.go).
-	Workers int
 }
 
 func (o Options) maxRipups(nets int) int {
@@ -73,16 +64,6 @@ func (o Options) ordering() Order {
 		return OrderShortFirst
 	}
 	return o.Ordering
-}
-
-func (o Options) workers() int {
-	if o.Workers < 0 {
-		return runtime.NumCPU()
-	}
-	if o.Workers < 2 {
-		return 1
-	}
-	return o.Workers
 }
 
 func (o Options) rounds() int {
@@ -286,16 +267,6 @@ func RouteAll(ctx context.Context, p *place.Placement, router Router, opts Optio
 	}
 	orderJobs(jobs, opts.ordering())
 
-	// Resolve the speculative search width once per call: the context's
-	// CPU budget (when one is attached) bounds the extra workers for the
-	// whole run. Width 1 keeps every round on the classic sequential flow.
-	workers := 1
-	if w := opts.workers(); w > 1 && len(jobs) > 1 {
-		var release func()
-		workers, release = par.AcquireWorkers(ctx, w)
-		defer release()
-	}
-
 	report := &Report{Router: router.Name()}
 	// Nets can flip between routed and unrouted across rounds (rerouting a
 	// failed net first can displace another), so each round produces a
@@ -318,7 +289,7 @@ func RouteAll(ctx context.Context, p *place.Placement, router Router, opts Optio
 				return failCount[roundJobs[a].conn.ID] > failCount[roundJobs[b].conn.ID]
 			})
 		}
-		results, routed := routeRound(ctx, work, router, roundJobs, opts, d, len(d.Connections), workers)
+		results, routed := routeRound(ctx, work, router, roundJobs, opts, d, len(d.Connections))
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("route: %w", err)
 		}
@@ -354,9 +325,7 @@ type routedNet struct {
 
 // roundState carries one routing round's mutable state: the working
 // grids, per-connection results, the routed-net index that powers
-// targeted rip-up, and the round's rip-up budget. Extracting it from the
-// old routeRound closure lets the speculative commit pass (parallel.go)
-// share the exact record/routeOne machinery the sequential flow uses.
+// targeted rip-up, and the round's rip-up budget.
 type roundState struct {
 	work        map[string]*geom.Grid
 	router      Router
@@ -365,11 +334,6 @@ type roundState struct {
 	results     []NetResult
 	done        map[string]*routedNet
 	ripupBudget int
-	// ripups counts rip-up transactions attempted this round (committed
-	// or rolled back). The speculative commit pass watches it: any rip-up
-	// breaks the blocks-only-accumulate monotonicity its conflict test
-	// relies on, so the net's layer falls back to sequential routing.
-	ripups int
 }
 
 func (rs *roundState) record(job *netJob, res NetResult, blocked []geom.Cell) {
@@ -393,7 +357,6 @@ func (rs *roundState) routeOne(ctx context.Context, job *netJob, allowRipup bool
 		return
 	}
 	rs.ripupBudget--
-	rs.ripups++
 	// Targeted rip-up: clear every routed net on this layer whose path
 	// enters the failed net's pin bounding box, route the failed net
 	// through the cleared region, then re-route the victims. The whole
@@ -458,11 +421,9 @@ func (rs *roundState) routeOne(ctx context.Context, job *netJob, allowRipup bool
 	}
 }
 
-// routeRound routes all jobs once. With workers > 1 a speculative search
-// phase runs first (parallel.go); the commit pass — and the sequential
-// flow it degrades to — processes jobs in round order. Returns
+// routeRound routes all jobs once, in round order. Returns
 // per-connection results (indexed by device order) and the routed count.
-func routeRound(ctx context.Context, work map[string]*geom.Grid, router Router, roundJobs []netJob, opts Options, d *core.Device, nConns, workers int) ([]NetResult, int) {
+func routeRound(ctx context.Context, work map[string]*geom.Grid, router Router, roundJobs []netJob, opts Options, d *core.Device, nConns int) ([]NetResult, int) {
 	rs := &roundState{
 		work:        work,
 		router:      router,
@@ -473,62 +434,22 @@ func routeRound(ctx context.Context, work map[string]*geom.Grid, router Router, 
 		ripupBudget: opts.maxRipups(len(roundJobs)),
 	}
 	allowRipup := opts.RipupRounds >= 0
-	var specs []specResult
-	if workers > 1 {
-		specs = speculate(ctx, work, router, roundJobs, opts, d, workers)
-	}
-	dirty := map[string]bool{}
-	blockedSince := map[string][]bool{}
 	for i := range roundJobs {
 		if ctx.Err() != nil {
 			break // RouteAll reports the cancellation
 		}
-		job := &roundJobs[i]
-		lid := job.conn.Layer
-		if specs != nil && !dirty[lid] && specs[i].commitsCleanly(blockedSince[lid]) {
-			// The speculative search observed no cell a committed net has
-			// since blocked, so the sequential search would have returned
-			// the identical path: commit it without re-searching.
-			blocked := blockPaths(work[lid], specs[i].paths)
-			rs.record(job, specs[i].res, blocked)
-			markBlocked(blockedSince, lid, work[lid], blocked)
-			continue
-		}
-		before := rs.ripups
-		rs.routeOne(ctx, job, allowRipup)
-		if specs == nil {
-			continue
-		}
-		if rs.ripups != before {
-			// A rip-up transaction (even a rolled-back one) may have
-			// unblocked cells mid-flight; the conflict test's monotonicity
-			// assumption is gone for this layer, so later nets on it route
-			// sequentially.
-			dirty[lid] = true
-		} else if rn := rs.done[job.conn.ID]; rn != nil {
-			markBlocked(blockedSince, lid, work[lid], rn.blocked)
-		}
+		rs.routeOne(ctx, &roundJobs[i], allowRipup)
 	}
 	return rs.results, len(rs.done)
 }
 
 // routeNet routes one multi-terminal net on the live grid: search, then
-// block the found paths. Successful paths block the grid for later nets;
-// the returned cells are exactly those this net newly blocked, enabling
-// targeted rip-up.
+// block the found paths for later nets. The returned cells are exactly the
+// free→blocked transitions (endpoints sit on cells already blocked by
+// component footprints and pin reservations), so a targeted rip-up can
+// undo them.
 func routeNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, opts Options, d *core.Device) (NetResult, []geom.Cell) {
 	res, paths := searchNet(ctx, g, router, job, opts, d)
-	if !res.Routed {
-		return res, nil
-	}
-	return res, blockPaths(g, paths)
-}
-
-// blockPaths blocks every cell of the routed paths, in path order,
-// returning exactly the free→blocked transitions (endpoints sit on cells
-// already blocked by component footprints and pin reservations) so a
-// targeted rip-up can undo them.
-func blockPaths(g *geom.Grid, paths [][]geom.Cell) []geom.Cell {
 	var newlyBlocked []geom.Cell
 	for _, path := range paths {
 		for _, c := range path {
@@ -538,16 +459,14 @@ func blockPaths(g *geom.Grid, paths [][]geom.Cell) []geom.Cell {
 			}
 		}
 	}
-	return newlyBlocked
+	return res, newlyBlocked
 }
 
 // searchNet runs one multi-terminal net's maze searches: source to first
 // sink, then each further sink to the growing route tree (sequential
 // Steiner approximation). The grid's net effect is zero — escape lanes
-// are restored and found paths are NOT blocked — so the same grid state
-// can host many speculative searches; committing a found route is
-// blockPaths. Segments and length are fully rendered here, making the
-// result ready to record once its paths commit.
+// are restored and found paths are NOT blocked; routeNet blocks them.
+// Segments and length are fully rendered here.
 func searchNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, opts Options, d *core.Device) (NetResult, [][]geom.Cell) {
 	res := NetResult{Net: job.conn.ID, Layer: job.conn.Layer}
 	if g == nil {

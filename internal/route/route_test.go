@@ -1,7 +1,10 @@
 package route
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -301,6 +304,110 @@ func TestRouteDeterminism(t *testing.T) {
 	if r1.TotalLength() != r2.TotalLength() || r1.TotalExpansions() != r2.TotalExpansions() {
 		t.Error("identical routing runs differ")
 	}
+}
+
+// reportBytes canonically encodes a report for byte-comparison.
+func reportBytes(t testing.TB, r *Report) []byte {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// routeConcurrently routes one placement from n goroutines at once — the
+// way the serve worker gate and parallel experiments share a device and
+// the pooled search arenas — and returns each call's report bytes.
+func routeConcurrently(t testing.TB, p *place.Placement, router Router, n int) [][]byte {
+	t.Helper()
+	reports := make([]*Report, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reports[i], errs[i] = RouteAll(context.Background(), p, router, Options{})
+		}(i)
+	}
+	wg.Wait()
+	out := make([][]byte, n)
+	for i := range reports {
+		if errs[i] != nil {
+			t.Fatalf("concurrent route %d: %v", i, errs[i])
+		}
+		out[i] = reportBytes(t, reports[i])
+	}
+	return out
+}
+
+// TestParallelNetsMatchSequential routes the same placement from several
+// goroutines at once and demands each report equal a lone sequential
+// route byte for byte, for every engine. Run under -race it also pins
+// down that concurrent routes share the device and placement read-only.
+func TestParallelNetsMatchSequential(t *testing.T) {
+	for _, name := range []string{"aquaflex_3b", "rotary_pcr", "hiv_diagnostics"} {
+		b, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := (place.Greedy{}).Place(context.Background(), b.Build(), place.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, router := range Engines() {
+			t.Run(name+"/"+router.Name(), func(t *testing.T) {
+				seq, err := RouteAll(context.Background(), p, router, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := reportBytes(t, seq)
+				for i, got := range routeConcurrently(t, p, router, 3) {
+					if !bytes.Equal(got, want) {
+						t.Errorf("concurrent route %d differs from sequential", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// FuzzParallelRouteDeterminism fuzzes the same property over arbitrary
+// devices, seeded from the benchmark corpus: any device the codec accepts
+// and the greedy placer can place must route identically alone and from
+// two goroutines at once.
+func FuzzParallelRouteDeterminism(f *testing.F) {
+	for _, b := range bench.Suite() {
+		if data, err := core.Marshal(b.Device()); err == nil {
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := core.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		// Bound the work per input: fuzzing explores determinism, not
+		// router throughput.
+		if len(d.Components) > 48 || len(d.Connections) > 64 {
+			return
+		}
+		p, err := (place.Greedy{}).Place(context.Background(), d, place.Options{})
+		if err != nil {
+			return
+		}
+		seq, err := RouteAll(context.Background(), p, AStar{}, Options{})
+		if err != nil {
+			return // malformed placement/die: rejected before any search
+		}
+		want := reportBytes(t, seq)
+		for i, got := range routeConcurrently(t, p, AStar{}, 2) {
+			if !bytes.Equal(got, want) {
+				t.Errorf("concurrent route %d differs from sequential for device %q", i, d.Name)
+			}
+		}
+	})
 }
 
 func TestRouteEmptyDieRejected(t *testing.T) {

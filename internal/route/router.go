@@ -91,7 +91,7 @@ func (Lee) Name() string { return "lee" }
 
 // Search runs breadth-first wavefront expansion.
 func (Lee) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) ([]geom.Cell, int, bool) {
-	a := acquireArena(ctx, g)
+	a := acquireArena(g)
 	defer a.release()
 	so := newSearchObs(ctx, "lee")
 	pushes := 0
@@ -155,7 +155,7 @@ func (AStar) Name() string { return "astar" }
 
 // Search runs A* from the source set toward the target.
 func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) ([]geom.Cell, int, bool) {
-	a := acquireArena(ctx, g)
+	a := acquireArena(g)
 	defer a.release()
 	h := func(c geom.Cell) int64 {
 		dx := int64(c.Col - target.Col)
@@ -233,7 +233,7 @@ func (Hadlock) Name() string { return "hadlock" }
 
 // Search runs 0-1 breadth-first search on detour counts.
 func (Hadlock) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) ([]geom.Cell, int, bool) {
-	a := acquireArena(ctx, g)
+	a := acquireArena(g)
 	defer a.release()
 	manhattan := func(c geom.Cell) int {
 		dx := c.Col - target.Col

@@ -426,8 +426,8 @@ func (s *Server) cacheKey(op string, req *request) string {
 	// only when a multi-replica schedule is effective: single-replica
 	// keys stay byte-for-byte what they were before the knob existed, so
 	// existing entries (and servers that never set it) are undisturbed.
-	// RouteWorkers, by contrast, never appears in any key: parallel
-	// routing is byte-identical to sequential.
+	// Worker counts and CPU budgets never appear in any key: for a fixed
+	// replica count the artifact is byte-identical at any width.
 	if n := s.replicas(req); n > 1 && (op == opPNR || op == opRender) {
 		var rb [8]byte
 		binary.LittleEndian.PutUint64(rb[:], uint64(n))

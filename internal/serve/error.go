@@ -87,9 +87,9 @@ type coded interface{ Code() string }
 // hierarchy does the classification: parse failures are the client's
 // fault (400), semantically invalid devices are unprocessable (422),
 // unknown benchmarks are absent resources (404), oversized bodies are 413,
-// shed admissions are 429, and context expiry distinguishes server
-// deadline (504) from client cancellation (499). Anything else is a
-// server fault (500).
+// shed admissions are 429, a job submission the journal could not record
+// is 503, and context expiry distinguishes server deadline (504) from
+// client cancellation (499). Anything else is a server fault (500).
 func httpStatus(err error) int {
 	var tooBig *http.MaxBytesError
 	var over *OverloadedError
@@ -105,6 +105,8 @@ func httpStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, job.ErrTooManyJobs):
 		return http.StatusTooManyRequests
+	case errors.Is(err, job.ErrJournal):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrParse), errors.Is(err, errBadRequest):
 		return http.StatusBadRequest
 	case errors.Is(err, validate.ErrInvalid):
@@ -152,6 +154,8 @@ func errorCode(err error, status int) string {
 		return "unprocessable"
 	case http.StatusTooManyRequests:
 		return "overloaded"
+	case http.StatusServiceUnavailable:
+		return "journal-unavailable"
 	case StatusClientClosedRequest:
 		return "client-closed"
 	case http.StatusGatewayTimeout:

@@ -462,7 +462,6 @@ func (s *Server) execPNR(ctx context.Context, req *request) (cache.Entry, error)
 			pnr.WithRouter(router),
 			pnr.WithSeed(seed),
 			pnr.WithReplicas(s.replicas(req)),
-			pnr.WithParallelNets(s.cfg.RouteWorkers),
 			pnr.WithObserver(s.stageObserver(ctx, res.Device.Name)),
 		}
 		if req.Utilization > 0 {
@@ -552,7 +551,6 @@ func (s *Server) execRender(ctx context.Context, req *request) (cache.Entry, err
 			result, err := pnr.RunContext(ctx, d, pnr.NewOptions(
 				pnr.WithSeed(par.DeriveSeed(s.cfg.BaseSeed, d.Name)),
 				pnr.WithReplicas(s.replicas(req)),
-				pnr.WithParallelNets(s.cfg.RouteWorkers),
 				pnr.WithObserver(s.stageObserver(ctx, d.Name)),
 			))
 			if err != nil {

@@ -514,6 +514,41 @@ func TestJobList(t *testing.T) {
 	}
 }
 
+// TestJobSubmitJournalFailure pins the durability promise of a 202: when
+// the submit record cannot be journaled (here, appends after Close fail)
+// the server answers 503 journal-unavailable and keeps no job.
+func TestJobSubmitJournalFailure(t *testing.T) {
+	j, err := job.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, BaseSeed: BaseSeedDefault, Journal: j})
+	defer s.Close()
+	h := s.Handler()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w := do(t, h, "POST", "/v1/jobs", `{"op":"stats","bench":"rotary_pcr"}`)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("submit status = %d, want 503: %s", w.Code, w.Body)
+	}
+	var body errorBody
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Code != "journal-unavailable" {
+		t.Errorf("code = %q, want journal-unavailable", body.Code)
+	}
+	list := do(t, h, "GET", "/v1/jobs", "")
+	var resp struct {
+		Total int `json:"total"`
+	}
+	if err := json.Unmarshal(list.Body.Bytes(), &resp); err != nil || resp.Total != 0 {
+		t.Errorf("list after failed submit = %s", list.Body)
+	}
+}
+
 // readAll drains and closes a response body.
 func readAll(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()

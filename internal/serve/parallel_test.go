@@ -6,28 +6,6 @@ import (
 	"testing"
 )
 
-// TestPNRRouteWorkersInvisible pins the router's determinism contract at
-// the service boundary: a server configured with speculative route
-// workers answers byte-for-byte what a sequential server answers, and the
-// two share cache keys (the knob takes no part in the address).
-func TestPNRRouteWorkersInvisible(t *testing.T) {
-	seqSrv := New(Config{Workers: 2, BaseSeed: BaseSeedDefault})
-	parSrv := New(Config{Workers: 2, BaseSeed: BaseSeedDefault, RouteWorkers: 4})
-	const body = `{"bench":"aquaflex_3b"}`
-	seq := do(t, seqSrv.Handler(), http.MethodPost, "/v1/pnr", body)
-	par := do(t, parSrv.Handler(), http.MethodPost, "/v1/pnr", body)
-	if seq.Code != http.StatusOK || par.Code != http.StatusOK {
-		t.Fatalf("status = %d / %d", seq.Code, par.Code)
-	}
-	if !bytes.Equal(seq.Body.Bytes(), par.Body.Bytes()) {
-		t.Error("route-workers changed response bytes")
-	}
-	req := &request{Bench: "aquaflex_3b"}
-	if seqSrv.cacheKey(opPNR, req) != parSrv.cacheKey(opPNR, req) {
-		t.Error("route-workers changed the cache key")
-	}
-}
-
 // TestPNRReplicasSelectSearch pins the replica knob's semantics: the
 // count is part of the request surface (different N, different search,
 // different cache address; same N, byte-identical response), and

@@ -61,11 +61,6 @@ type Config struct {
 	// "replicas" field overrides it. Values below 2 keep the classic
 	// single-replica annealing schedule.
 	Replicas int
-	// RouteWorkers is the router's speculative net-search width for pnr
-	// requests; below 2 keeps sequential routing. This knob never changes
-	// response bytes — parallel routing is byte-identical to sequential —
-	// so it takes no part in cache keys.
-	RouteWorkers int
 	// Journal, when non-nil, makes job submissions durable: lifecycle
 	// transitions append to it and New replays it, restoring completed
 	// jobs (re-seeding the result cache) and re-enqueueing interrupted
@@ -198,7 +193,7 @@ func New(cfg Config) *Server {
 		cfg:  cfg,
 		gate: newGate(cfg.Workers, cfg.QueueDepth),
 		// One process-wide CPU ledger for the solvers' nested parallelism
-		// (replica annealing, speculative routing): admitted requests own
+		// (replica annealing): admitted requests own
 		// their goroutine; extra fan-out draws tokens from this budget, so
 		// gate × solver parallelism can never oversubscribe the machine.
 		budget: par.NewBudget(0),
