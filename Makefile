@@ -36,6 +36,9 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) -run '^$$' ./internal/mint
 	$(GO) test -fuzz FuzzDeviceJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzCanonCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzAppendCompactJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzRawValueCompact -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzReadStringRaw -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 
 # gofmt drift fails the gate before vet runs.
 vet:

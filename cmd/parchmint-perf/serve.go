@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 
+	"repro/internal/bench"
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/mint"
 	"repro/internal/serve"
 )
 
@@ -18,7 +22,10 @@ import (
 // pipeline computation. The numbers land in BENCH_serve.json with the
 // same before/after baseline discipline as BENCH_pnr.json. "warm+gzip"
 // kernels are warm kernels whose client offers Accept-Encoding: gzip, so
-// they add the compression path to the cached replay.
+// they add the compression path to the cached replay. The "inline"
+// kernels post the largest bodies of loadbench's inline_parse workload
+// warm, so they measure what every inline cache hit pays: body read,
+// envelope decode, cache key and replay.
 
 // serveCase is one measured endpoint/body/cache-regime combination.
 type serveCase struct {
@@ -42,6 +49,34 @@ var serveCases = []serveCase{
 	{"serve/pnr/rotary_pcr/cold", "/v1/pnr", `{"bench":"rotary_pcr","placer":"greedy"}`, false, false, 20},
 	{"serve/convert/aquaflex_3b/warm", "/v1/convert", `{"bench":"aquaflex_3b","to":"mint"}`, true, false, 20000},
 	{"serve/convert/aquaflex_3b/warm+gzip", "/v1/convert", `{"bench":"aquaflex_3b","to":"mint"}`, true, true, 20000},
+}
+
+// inlineCases are the warm validate kernels over the largest inline_parse
+// bodies: the 1280-component sweep device (bench.Sweep(10, 8, 2018)) as
+// inline ParchMint JSON (about 454 KiB) and as MINT text (about 138 KiB),
+// encoded exactly as loadbench/workload.go encodes them.
+func inlineCases() []serveCase {
+	sweep := bench.Sweep(10, 8, 2018)
+	sp := sweep[len(sweep)-1]
+	js, err := core.MarshalCanonical(sp.Device)
+	if err != nil {
+		cli.Fatalf("parchmint-perf: %v", err)
+	}
+	f, _, err := mint.FromDevice(sp.Device)
+	if err != nil {
+		cli.Fatalf("parchmint-perf: %v", err)
+	}
+	txt, err := json.Marshal(struct {
+		Text   string `json:"text"`
+		Format string `json:"format"`
+	}{mint.Print(f), "mint"})
+	if err != nil {
+		cli.Fatalf("parchmint-perf: %v", err)
+	}
+	return []serveCase{
+		{"serve/validate/inline/" + sp.Name + ".json/warm", "/v1/validate", `{"device":` + string(js) + `}`, true, false, 1000},
+		{"serve/validate/inline/" + sp.Name + ".mint/warm", "/v1/validate", string(txt), true, false, 2000},
+	}
 }
 
 // discardWriter is the minimal ResponseWriter: headers land in one reused
@@ -74,7 +109,7 @@ func serveKernels() []kernel {
 	warm, cold := warmSrv.Handler(), coldSrv.Handler()
 
 	var ks []kernel
-	for _, c := range serveCases {
+	for _, c := range append(serveCases, inlineCases()...) {
 		c := c
 		h := cold
 		if c.warm {

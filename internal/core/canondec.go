@@ -43,10 +43,19 @@ const (
 // Parser is a pooled, allocation-lean JSON tokenizer. Byte slices
 // returned by NextKey are valid only until the next Parser call.
 type Parser struct {
-	data        []byte
-	pos         int
-	depth       int
-	scratch     []byte
+	data  []byte
+	pos   int
+	depth int
+	// loose records, since the last RawValueCompact or ReadStringRaw
+	// cleared it, that the scanned bytes are not already in the form the
+	// canonical encoders write: whitespace between tokens, a raw <, > or
+	// &, or a raw U+2028/U+2029 (what AppendCompactJSON rewrites), and,
+	// while decoding a string, invalid UTF-8 or an escape AppendJSONString
+	// would not write (such as \/ or \u0041).
+	loose   bool
+	scratch []byte
+	stack   []byte // SkipValue's open containers
+
 	intern      map[string]string
 	internBytes int
 }
@@ -73,10 +82,28 @@ func (p *Parser) Release() {
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 func (p *Parser) skipSpace() {
-	for p.pos < len(p.data) && isSpace(p.data[p.pos]) {
-		p.pos++
+	if p.pos < len(p.data) && p.data[p.pos] <= ' ' {
+		p.pos = p.skipSpaceAt(p.pos)
 	}
 }
+
+// Byte classes of the string scanners. strPlain marks bytes that a
+// string literal holds verbatim and that both canonical encoders copy
+// unchanged: printable ASCII other than '"', '\\', '<', '>' and '&'.
+// rawPlain marks what skipStringAt passes over without a second look: those
+// bytes plus every byte of a multi-byte sequence except 0xE2, the lead
+// byte of U+2028/U+2029.
+var strPlain, rawPlain = func() (sp, rp [256]bool) {
+	for c := 0x20; c < 256; c++ {
+		switch c {
+		case '"', '\\', '<', '>', '&':
+			continue
+		}
+		sp[c] = c < utf8.RuneSelf
+		rp[c] = c != 0xE2
+	}
+	return
+}()
 
 // AtEOF reports whether only whitespace remains.
 func (p *Parser) AtEOF() bool {
@@ -202,40 +229,66 @@ func (p *Parser) readStringBytes() ([]byte, error) {
 	if err := p.expect('"'); err != nil {
 		return nil, err
 	}
-	start := p.pos
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		if c == '"' {
-			b := p.data[start:p.pos]
-			p.pos++
-			return b, nil
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			break
-		}
-		p.pos++
+	data, pos := p.data, p.pos
+	for pos < len(data) && strPlain[data[pos]] {
+		pos++
 	}
+	if pos < len(data) && data[pos] == '"' {
+		b := data[p.pos:pos]
+		p.pos = pos + 1
+		return b, nil
+	}
+	start := p.pos
+	p.pos = pos
 	return p.readStringSlow(start)
 }
 
+// readStringSlow finishes a literal whose plain prefix data[start:p.pos]
+// the fast loop already scanned. Runs of bytes that decode to themselves
+// are copied with one append each; escapes, invalid UTF-8 and the bytes
+// the canonical string encoder rewrites are handled one at a time, and
+// any of them that AppendJSONString would not write back identically
+// sets p.loose.
 func (p *Parser) readStringSlow(start int) ([]byte, error) {
-	s := append(p.scratch[:0], p.data[start:p.pos]...)
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		switch {
+	data, pos := p.data, p.pos
+	s := append(p.scratch[:0], data[start:pos]...)
+	for pos < len(data) {
+		run := pos
+		for pos < len(data) {
+			if c := data[pos]; strPlain[c] {
+				pos++
+				continue
+			} else if c < utf8.RuneSelf {
+				break
+			}
+			r, size := utf8.DecodeRune(data[pos:])
+			if (r == utf8.RuneError && size == 1) || r == '\u2028' || r == '\u2029' {
+				break
+			}
+			pos += size
+		}
+		s = append(s, data[run:pos]...)
+		if pos >= len(data) {
+			break
+		}
+		switch c := data[pos]; {
 		case c == '"':
-			p.pos++
+			p.pos = pos + 1
 			p.scratch = s
 			return s, nil
 		case c == '\\':
-			p.pos++
-			if p.pos >= len(p.data) {
+			pos++
+			if pos >= len(data) {
+				p.pos = pos
 				return nil, p.syntaxErr()
 			}
-			e := p.data[p.pos]
-			p.pos++
+			e := data[pos]
+			pos++
 			switch e {
-			case '"', '\\', '/':
+			case '"', '\\':
+				s = append(s, e)
+			case '/':
+				p.loose = true
 				s = append(s, e)
 			case 'b':
 				s = append(s, '\b')
@@ -248,22 +301,27 @@ func (p *Parser) readStringSlow(start int) ([]byte, error) {
 			case 't':
 				s = append(s, '\t')
 			case 'u':
-				r, err := p.readHex4()
-				if err != nil {
-					return nil, err
+				r, ok := hex4(data[pos:])
+				if !ok {
+					p.pos = pos
+					return nil, p.syntaxErr()
 				}
+				if !canonicalEscape(r, data[pos:pos+4]) {
+					p.loose = true
+				}
+				pos += 4
 				if utf16.IsSurrogate(r) {
 					// A valid high+low pair combines; anything else
 					// becomes U+FFFD with the following escape (if any)
 					// reprocessed on its own — encoding/json's repair.
 					r2 := rune(-1)
-					if p.pos+6 <= len(p.data) && p.data[p.pos] == '\\' && p.data[p.pos+1] == 'u' {
-						if v, ok := hex4(p.data[p.pos+2:]); ok {
+					if pos+6 <= len(data) && data[pos] == '\\' && data[pos+1] == 'u' {
+						if v, ok := hex4(data[pos+2:]); ok {
 							r2 = v
 						}
 					}
 					if dec := utf16.DecodeRune(r, r2); dec != unicode.ReplacementChar {
-						p.pos += 6
+						pos += 6
 						s = utf8.AppendRune(s, dec)
 					} else {
 						s = append(s, '\xef', '\xbf', '\xbd')
@@ -272,27 +330,49 @@ func (p *Parser) readStringSlow(start int) ([]byte, error) {
 				}
 				s = utf8.AppendRune(s, r)
 			default:
-				p.pos -= 2
+				p.pos = pos - 2
 				return nil, p.syntaxErr()
 			}
 		case c < 0x20:
+			p.pos = pos
 			return nil, p.syntaxErr()
-		case c >= utf8.RuneSelf:
-			r, size := utf8.DecodeRune(p.data[p.pos:])
-			if r == utf8.RuneError && size == 1 {
-				s = append(s, '\xef', '\xbf', '\xbd')
-				p.pos++
-			} else {
-				s = append(s, p.data[p.pos:p.pos+size]...)
-				p.pos += size
-			}
-		default:
+		case c < utf8.RuneSelf: // '<', '>' or '&'
+			p.loose = true
 			s = append(s, c)
-			p.pos++
+			pos++
+		default:
+			p.loose = true
+			if r, size := utf8.DecodeRune(data[pos:]); size > 1 {
+				// U+2028 or U+2029, which AppendJSONString escapes.
+				s = utf8.AppendRune(s, r)
+				pos += size
+			} else {
+				s = append(s, '\xef', '\xbf', '\xbd')
+				pos++
+			}
 		}
 	}
+	p.pos = pos
 	p.scratch = s
 	return nil, p.syntaxErr()
+}
+
+// canonicalEscape reports whether the four hex digits of a \u escape are
+// exactly how AppendJSONString writes r: lower-case hex, and only for the
+// runes it escapes that way (controls without a short escape, <, >, &,
+// U+2028 and U+2029).
+func canonicalEscape(r rune, hex []byte) bool {
+	switch r {
+	case '\b', '\f', '\n', '\r', '\t':
+		return false
+	case '<', '>', '&', '\u2028', '\u2029':
+	default:
+		if r >= 0x20 {
+			return false
+		}
+	}
+	return hex[0] == hexDigits[r>>12] && hex[1] == hexDigits[r>>8&0xF] &&
+		hex[2] == hexDigits[r>>4&0xF] && hex[3] == hexDigits[r&0xF]
 }
 
 func hex4(b []byte) (rune, bool) {
@@ -314,15 +394,6 @@ func hex4(b []byte) (rune, bool) {
 		r = r*16 + rune(c)
 	}
 	return r, true
-}
-
-func (p *Parser) readHex4() (rune, error) {
-	r, ok := hex4(p.data[p.pos:])
-	if !ok {
-		return 0, p.syntaxErr()
-	}
-	p.pos += 4
-	return r, nil
 }
 
 // internBytesToString returns b as a string, sharing storage with prior
@@ -354,6 +425,21 @@ func (p *Parser) ReadString() (string, error) {
 		return "", err
 	}
 	return p.internBytesToString(b), nil
+}
+
+// ReadStringRaw is ReadString that also returns the literal's raw bytes,
+// quotes included, and reports whether they are exactly what
+// AppendJSONString writes for the decoded string, so a caller
+// re-encoding it may copy raw instead.
+func (p *Parser) ReadStringRaw() (s string, raw []byte, canonical bool, err error) {
+	p.skipSpace()
+	start := p.pos
+	p.loose = false
+	b, err := p.readStringBytes()
+	if err != nil {
+		return "", nil, false, err
+	}
+	return p.internBytesToString(b), p.data[start:p.pos], !p.loose, nil
 }
 
 // scanNumber consumes one number literal and returns its bytes.
@@ -492,129 +578,208 @@ func (p *Parser) literal(s string) error {
 // RawValue consumes one value and returns its raw bytes, interior
 // formatting preserved — the json.RawMessage capture rule.
 func (p *Parser) RawValue() ([]byte, error) {
+	raw, _, err := p.RawValueCompact()
+	return raw, err
+}
+
+// RawValueCompact is RawValue that also reports whether the raw bytes
+// are already what AppendCompactJSON produces from them: no whitespace
+// between tokens, no raw <, > or &, no raw U+2028/U+2029.
+func (p *Parser) RawValueCompact() (raw []byte, compact bool, err error) {
 	p.skipSpace()
 	start := p.pos
+	p.loose = false
 	if err := p.SkipValue(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return p.data[start:p.pos], nil
+	return p.data[start:p.pos], !p.loose, nil
 }
 
-// SkipValue consumes one value, validating syntax only.
+// SkipValue consumes one value, validating syntax only. It is one loop
+// over register-local data and pos, with the open containers on a byte
+// stack ('{' or '['), rather than a recursive descent through the
+// Parser's token methods: the device body of an inline request is
+// skipped this way on every request, hit or miss.
 func (p *Parser) SkipValue() error {
-	c, err := p.peek()
-	if err != nil {
-		return err
+	data, pos, depth := p.data, p.pos, p.depth
+	stack := p.stack[:0]
+	defer func() { p.stack = stack }()
+	fail := func(at int) error {
+		p.pos = at
+		return p.syntaxErr()
 	}
-	switch c {
-	case '{':
-		p.pos++
-		if err := p.push(); err != nil {
-			return err
+	for {
+		// A value starts at pos, after optional whitespace.
+		if pos < len(data) && data[pos] <= ' ' {
+			pos = p.skipSpaceAt(pos)
 		}
-		first := true
-		for {
-			c, err := p.peek()
-			if err != nil {
-				return err
-			}
-			if c == '}' {
-				p.pos++
-				p.depth--
-				return nil
-			}
-			if !first {
-				if c != ',' {
-					return p.syntaxErr()
-				}
-				p.pos++
-			}
-			first = false
-			if err := p.skipString(); err != nil {
-				return err
-			}
-			if err := p.expect(':'); err != nil {
-				return err
-			}
-			if err := p.SkipValue(); err != nil {
-				return err
-			}
+		if pos >= len(data) {
+			return fail(pos)
 		}
-	case '[':
-		p.pos++
-		if err := p.push(); err != nil {
-			return err
-		}
-		first := true
-		for {
-			c, err := p.peek()
-			if err != nil {
-				return err
+		switch c := data[pos]; c {
+		case '{', '[':
+			if depth++; depth > maxParseDepth {
+				return fmt.Errorf("core: exceeded max depth of %d", maxParseDepth)
 			}
-			if c == ']' {
-				p.pos++
-				p.depth--
-				return nil
+			pos++
+			if pos < len(data) && data[pos] <= ' ' {
+				pos = p.skipSpaceAt(pos)
 			}
-			if !first {
-				if c != ',' {
-					return p.syntaxErr()
-				}
-				p.pos++
+			if pos < len(data) && data[pos] == c+2 { // '}' or ']'
+				pos++
+				depth--
+				break
 			}
-			first = false
-			if err := p.SkipValue(); err != nil {
-				return err
-			}
-		}
-	case '"':
-		return p.skipString()
-	case 't':
-		return p.literal("true")
-	case 'f':
-		return p.literal("false")
-	case 'n':
-		return p.literal("null")
-	default:
-		_, err := p.scanNumber()
-		return err
-	}
-}
-
-// skipString validates a string literal without unescaping it.
-func (p *Parser) skipString() error {
-	if err := p.expect('"'); err != nil {
-		return err
-	}
-	for p.pos < len(p.data) {
-		c := p.data[p.pos]
-		switch {
-		case c == '"':
-			p.pos++
-			return nil
-		case c == '\\':
-			p.pos++
-			if p.pos >= len(p.data) {
-				return p.syntaxErr()
-			}
-			switch p.data[p.pos] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				p.pos++
-			case 'u':
-				p.pos++
-				if _, err := p.readHex4(); err != nil {
+			stack = append(stack, c)
+			if c == '{' {
+				var err error
+				if pos, err = p.skipMemberKey(pos); err != nil {
 					return err
 				}
-			default:
-				return p.syntaxErr()
 			}
-		case c < 0x20:
-			return p.syntaxErr()
+			continue
+		case '"':
+			var err error
+			if pos, err = p.skipStringAt(pos + 1); err != nil {
+				return err
+			}
+		case 't', 'f', 'n':
+			lit := "null"
+			if c == 't' {
+				lit = "true"
+			} else if c == 'f' {
+				lit = "false"
+			}
+			if len(data)-pos < len(lit) || string(data[pos:pos+len(lit)]) != lit {
+				return fail(pos)
+			}
+			pos += len(lit)
 		default:
-			p.pos++
+			p.pos = pos
+			if _, err := p.scanNumber(); err != nil {
+				return err
+			}
+			pos = p.pos
+		}
+		// A value ended at pos: close containers until one continues.
+		for {
+			if len(stack) == 0 {
+				p.pos, p.depth = pos, depth
+				return nil
+			}
+			if pos < len(data) && data[pos] <= ' ' {
+				pos = p.skipSpaceAt(pos)
+			}
+			if pos >= len(data) {
+				return fail(pos)
+			}
+			open := stack[len(stack)-1]
+			if c := data[pos]; c == open+2 {
+				pos++
+				depth--
+				stack = stack[:len(stack)-1]
+				continue
+			} else if c != ',' {
+				return fail(pos)
+			}
+			pos++
+			if open == '{' {
+				var err error
+				if pos, err = p.skipMemberKey(pos); err != nil {
+					return err
+				}
+			}
+			break
 		}
 	}
-	return p.syntaxErr()
+}
+
+// skipSpaceAt returns the position after the whitespace at pos, setting
+// p.loose if there was any.
+func (p *Parser) skipSpaceAt(pos int) int {
+	start := pos
+	for pos < len(p.data) && isSpace(p.data[pos]) {
+		pos++
+	}
+	if pos > start {
+		p.loose = true
+	}
+	return pos
+}
+
+// skipMemberKey consumes an object member's key string and its ':'
+// (each after optional whitespace), returning the position after ':'.
+func (p *Parser) skipMemberKey(pos int) (int, error) {
+	data := p.data
+	if pos < len(data) && data[pos] <= ' ' {
+		pos = p.skipSpaceAt(pos)
+	}
+	if pos >= len(data) || data[pos] != '"' {
+		p.pos = pos
+		return 0, p.syntaxErr()
+	}
+	pos, err := p.skipStringAt(pos + 1)
+	if err != nil {
+		return 0, err
+	}
+	if pos < len(data) && data[pos] <= ' ' {
+		pos = p.skipSpaceAt(pos)
+	}
+	if pos >= len(data) || data[pos] != ':' {
+		p.pos = pos
+		return 0, p.syntaxErr()
+	}
+	return pos + 1, nil
+}
+
+// skipStringAt validates the rest of a string literal whose opening quote
+// precedes pos, without unescaping it, and returns the position after its
+// closing quote. A byte AppendCompactJSON would rewrite sets p.loose.
+func (p *Parser) skipStringAt(pos int) (int, error) {
+	data := p.data
+	for pos < len(data) {
+		c := data[pos]
+		if rawPlain[c] {
+			pos++
+			continue
+		}
+		switch {
+		case c == '"':
+			return pos + 1, nil
+		case c == '\\':
+			pos++
+			if pos >= len(data) {
+				break
+			}
+			switch data[pos] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				pos++
+			case 'u':
+				pos++
+				if _, ok := hex4(data[pos:]); !ok {
+					p.pos = pos
+					return 0, p.syntaxErr()
+				}
+				pos += 4
+			default:
+				p.pos = pos
+				return 0, p.syntaxErr()
+			}
+		case c < 0x20:
+			p.pos = pos
+			return 0, p.syntaxErr()
+		case c == 0xE2:
+			if pos+2 < len(data) && data[pos+1] == 0x80 && data[pos+2]&^1 == 0xA8 {
+				p.loose = true
+			}
+			pos++
+		default: // '<', '>' or '&'
+			p.loose = true
+			pos++
+		}
+	}
+	p.pos = len(data)
+	return 0, p.syntaxErr()
 }
 
 // FoldEq reports whether key case-folds to upper, an ASCII-uppercase

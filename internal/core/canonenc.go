@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -101,37 +102,55 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 // src, replicating how encoding/json embeds a json.RawMessage: whitespace
 // outside strings dropped, <, >, & and the byte sequences of U+2028/U+2029
 // escaped, everything else byte-for-byte. src must already be valid JSON.
+// Runs of bytes that pass through unchanged are copied with one append.
 func AppendCompactJSON(dst, src []byte) []byte {
+	dst = slices.Grow(dst, len(src))
 	inString := false
+	start := 0
 	for i := 0; i < len(src); i++ {
 		c := src[i]
-		switch {
-		case c == '\\' && inString:
-			dst = append(dst, c)
-			if i+1 < len(src) {
-				i++
-				dst = append(dst, src[i])
-			}
-		case c == '"':
+		if compactPlain[c] {
+			continue
+		}
+		switch c {
+		case '"':
 			inString = !inString
-			dst = append(dst, c)
-		case c == '<':
-			dst = append(dst, '\\', 'u', '0', '0', '3', 'c')
-		case c == '>':
-			dst = append(dst, '\\', 'u', '0', '0', '3', 'e')
-		case c == '&':
-			dst = append(dst, '\\', 'u', '0', '0', '2', '6')
-		case c == 0xE2 && i+2 < len(src) && src[i+1] == 0x80 && src[i+2]&^1 == 0xA8:
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[src[i+2]&0xF])
-			i += 2
-		case !inString && (c == ' ' || c == '\t' || c == '\n' || c == '\r'):
-			// dropped
-		default:
-			dst = append(dst, c)
+		case '\\':
+			if inString {
+				i++ // the escaped byte is copied with the run
+			}
+		case '<', '>', '&':
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			start = i + 1
+		case 0xE2:
+			if i+2 < len(src) && src[i+1] == 0x80 && src[i+2]&^1 == 0xA8 {
+				dst = append(dst, src[start:i]...)
+				dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[src[i+2]&0xF])
+				i += 2
+				start = i + 1
+			}
+		default: // whitespace, dropped outside strings
+			if !inString {
+				dst = append(dst, src[start:i]...)
+				start = i + 1
+			}
 		}
 	}
-	return dst
+	return append(dst, src[start:]...)
 }
+
+// compactPlain marks the bytes AppendCompactJSON copies without looking
+// at their context.
+var compactPlain = func() (t [256]bool) {
+	for c := range t {
+		t[c] = true
+	}
+	for _, c := range []byte{'"', '\\', '<', '>', '&', 0xE2, ' ', '\t', '\n', '\r'} {
+		t[c] = false
+	}
+	return
+}()
 
 // canonState holds the reusable map-key scratch of one encode.
 type canonState struct {

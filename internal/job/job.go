@@ -73,6 +73,10 @@ type Hooks struct {
 	Submitted func()
 	Started   func()
 	Finished  func(status Status, d time.Duration)
+	// AppendFailed observes a start, finish or cancel record the journal
+	// could not write; record names its kind ("start", "finish",
+	// "cancel"). The job itself proceeds (see journalAppend).
+	AppendFailed func(record string)
 }
 
 // Config assembles a store.
@@ -460,12 +464,15 @@ func (s *Store) resultPath(id string) string {
 // journalAppend persists one transition after the submit record. Its
 // failures (disk full, closed file during shutdown) degrade durability,
 // not availability: the in-memory job proceeds, replay re-runs a job
-// whose finish record is missing, and the error is dropped by design.
+// whose finish record is missing, and the failure is reported only to
+// Hooks.AppendFailed.
 func (s *Store) journalAppend(r record) {
 	if s.cfg.Journal == nil {
 		return
 	}
-	_ = s.cfg.Journal.Append(r)
+	if err := s.cfg.Journal.Append(r); err != nil && s.cfg.Hooks.AppendFailed != nil {
+		s.cfg.Hooks.AppendFailed(r.E)
+	}
 }
 
 // lookup returns the live job or ErrNotFound.

@@ -241,6 +241,41 @@ func TestSubmitJournalFailure(t *testing.T) {
 	}
 }
 
+// TestJournalAppendFailureReported: a finish record the journal cannot
+// write (the journal closed while the job ran) still completes the job,
+// and reaches Hooks.AppendFailed exactly once, naming the record.
+func TestJournalAppendFailureReported(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	running, release := make(chan struct{}), make(chan struct{})
+	var failed []string
+	s := NewStore(Config{Workers: 1, Journal: j,
+		Hooks: Hooks{AppendFailed: func(record string) { failed = append(failed, record) }},
+		Exec: func(ctx context.Context, op string, env json.RawMessage) (cache.Entry, string, error) {
+			close(running)
+			<-release
+			return cache.Entry{ContentType: "t", Body: []byte("x")}, "miss", nil
+		}})
+	defer s.Close()
+	snap, err := s.Submit("stats", json.RawMessage(`{}`), "k", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-running // the start record is written before Exec runs
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if got := waitTerminal(t, s, snap.ID); got.Status != StatusCompleted {
+		t.Fatalf("job = %s, want completed despite the journal", got.Status)
+	}
+	if len(failed) != 1 || failed[0] != recFinish {
+		t.Errorf("AppendFailed records = %v, want [%s]", failed, recFinish)
+	}
+}
+
 func TestJournalReplayCompletedAndInterrupted(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	j, err := OpenJournal(path)

@@ -1,6 +1,7 @@
 package mint
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -191,6 +192,12 @@ func refTarget(r Ref) core.Target {
 	return t
 }
 
+// ErrNoLayers is wrapped by FromDevice's error for a device without
+// layers: MINT writes every statement inside a layer block, so such a
+// device has no MINT form. It is a fault of the input, not of the
+// converter.
+var ErrNoLayers = errors.New("no layers")
+
 // FromDevice converts a ParchMint device to a MINT file. Devices that use
 // constructs outside the MINT subset (multi-layer components, multi-sink
 // connections, off-convention ports) still convert, with the degradations
@@ -214,7 +221,7 @@ func FromDevice(d *core.Device) (*File, *Fidelity, error) {
 		f.Layers = append(f.Layers, LayerBlock{Type: typ})
 	}
 	if len(f.Layers) == 0 {
-		return nil, nil, fmt.Errorf("mint: device %q has no layers", d.Name)
+		return nil, nil, fmt.Errorf("mint: device %q has %w", d.Name, ErrNoLayers)
 	}
 
 	for i := range d.Components {

@@ -6,6 +6,7 @@
 package render
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -59,11 +60,15 @@ func layerStroke(t core.LayerType) string {
 	return "#2c3e50"
 }
 
-// SVG renders the device's features. It returns an error when the device
-// carries no physical geometry.
+// ErrNoFeatures is wrapped by SVG's error for a device that carries no
+// physical geometry to draw: a fault of the input, not of the renderer.
+var ErrNoFeatures = errors.New("no features")
+
+// SVG renders the device's features. It returns an error wrapping
+// ErrNoFeatures when the device carries no physical geometry.
 func SVG(d *core.Device, opts Options) (string, error) {
 	if len(d.Features) == 0 {
-		return "", fmt.Errorf("render: device %q has no features; run place-and-route first", d.Name)
+		return "", fmt.Errorf("render: device %q has %w; run place-and-route first", d.Name, ErrNoFeatures)
 	}
 	wanted := map[string]bool{}
 	for _, l := range opts.Layers {

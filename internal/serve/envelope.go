@@ -231,13 +231,23 @@ func applyRequestField(p *core.Parser, key []byte, req *request) error {
 	case core.FoldEq(key, "BENCH"):
 		return envString(p, &req.Bench)
 	case core.FoldEq(key, "DEVICE"):
-		raw, err := p.RawValue()
+		raw, compact, err := p.RawValueCompact()
 		if err != nil {
 			return err
 		}
-		req.Device = raw
+		req.Device, req.deviceCompact = raw, compact
 	case core.FoldEq(key, "TEXT"):
-		return envString(p, &req.Text)
+		if p.TryNull() {
+			return nil
+		}
+		s, raw, canonical, err := p.ReadStringRaw()
+		if err != nil {
+			return err
+		}
+		req.Text, req.textRaw = s, nil
+		if canonical {
+			req.textRaw = raw
+		}
 	case core.FoldEq(key, "FORMAT"):
 		return envString(p, &req.Format)
 	case core.FoldEq(key, "SEED"):
@@ -329,11 +339,19 @@ func appendRequestJSON(dst []byte, req *request) ([]byte, error) {
 	}
 	if len(req.Device) > 0 {
 		dst = append(comma(dst), `"device":`...)
-		dst = core.AppendCompactJSON(dst, req.Device)
+		if req.deviceCompact {
+			dst = append(dst, req.Device...)
+		} else {
+			dst = core.AppendCompactJSON(dst, req.Device)
+		}
 	}
 	if req.Text != "" {
 		dst = append(comma(dst), `"text":`...)
-		dst = core.AppendJSONString(dst, req.Text)
+		if req.textRaw != nil {
+			dst = append(dst, req.textRaw...)
+		} else {
+			dst = core.AppendJSONString(dst, req.Text)
+		}
 	}
 	if req.Format != "" {
 		dst = append(comma(dst), `"format":`...)
@@ -379,16 +397,10 @@ func appendRequestJSON(dst []byte, req *request) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// keyScratch holds the two buffers cacheKey reuses: the canonical
-// envelope and the length-framed hash input. Its own pool (rather than
-// the reqState) because batch items compute keys concurrently under one
-// request.
-type keyScratch struct {
-	env   []byte
-	frame []byte
-}
-
-var keyScratchPool = sync.Pool{New: func() any { return &keyScratch{} }}
+// keyFrames pools the length-framed hash inputs cacheKey builds. It is
+// its own pool (rather than part of the reqState) because batch items
+// compute keys concurrently under one request.
+var keyFrames = sync.Pool{New: func() any { return new([]byte) }}
 
 // cacheKey derives the content address of one computation: SHA-256 over
 // the operation, the canonicalized request body, and the resolved seed.
@@ -400,26 +412,29 @@ var keyScratchPool = sync.Pool{New: func() any { return &keyScratch{} }}
 // explicit request seed or, for derived seeds, the server's base seed
 // (the device name completing the derivation is already pinned by the
 // canonical body), so servers seeded differently never share entries.
-// The whole derivation is a single pass over pooled buffers; its only
-// allocation is the returned key string.
+// The envelope is encoded straight into the pooled hash input, its
+// length prefix patched in afterwards, so the derivation is a single
+// pass whose only allocation is the returned key string.
 func (s *Server) cacheKey(op string, req *request) string {
-	ks := keyScratchPool.Get().(*keyScratch)
-	defer keyScratchPool.Put(ks)
-	env, err := appendRequestJSON(ks.env[:0], req)
-	if err != nil {
+	buf := keyFrames.Get().(*[]byte)
+	defer keyFrames.Put(buf)
+	frame := cache.AppendPartString((*buf)[:0], op)
+	at := len(frame)
+	frame = append(frame, make([]byte, 8)...)
+	if env, err := appendRequestJSON(frame, req); err == nil {
+		frame = env
+	} else {
 		// The envelope round-trips by construction; treat failure as a
 		// never-matching key rather than a request failure.
-		env = fmt.Appendf(env[:0], "unmarshalable:%p", req)
+		frame = fmt.Appendf(frame, "unmarshalable:%p", req)
 	}
-	ks.env = env
+	binary.LittleEndian.PutUint64(frame[at:], uint64(len(frame)-at-8))
 	seed := req.Seed
 	if seed == 0 {
 		seed = par.DeriveSeed(s.cfg.BaseSeed, req.Bench)
 	}
 	var sb [8]byte
 	binary.LittleEndian.PutUint64(sb[:], seed)
-	frame := cache.AppendPartString(ks.frame[:0], op)
-	frame = cache.AppendPart(frame, env)
 	frame = cache.AppendPart(frame, sb[:])
 	// The replica count selects a different annealing search, so for the
 	// operations it reaches it must be part of the address. It folds in
@@ -433,6 +448,6 @@ func (s *Server) cacheKey(op string, req *request) string {
 		binary.LittleEndian.PutUint64(rb[:], uint64(n))
 		frame = cache.AppendPart(frame, rb[:])
 	}
-	ks.frame = frame
+	*buf = frame
 	return cache.KeyFrom(frame)
 }

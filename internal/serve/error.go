@@ -11,7 +11,9 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/job"
+	"repro/internal/mint"
 	"repro/internal/obs"
+	"repro/internal/render"
 	"repro/internal/validate"
 )
 
@@ -85,7 +87,9 @@ type coded interface{ Code() string }
 
 // httpStatus maps a pipeline error onto an HTTP status. The typed error
 // hierarchy does the classification: parse failures are the client's
-// fault (400), semantically invalid devices are unprocessable (422),
+// fault (400), semantically invalid devices — and devices with nothing
+// for the requested output to hold (no layers for MINT, no features to
+// draw) — are unprocessable (422),
 // unknown benchmarks are absent resources (404), oversized bodies are 413,
 // shed admissions are 429, a job submission the journal could not record
 // is 503, and context expiry distinguishes server deadline (504) from
@@ -109,7 +113,8 @@ func httpStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrParse), errors.Is(err, errBadRequest):
 		return http.StatusBadRequest
-	case errors.Is(err, validate.ErrInvalid):
+	case errors.Is(err, validate.ErrInvalid), errors.Is(err, mint.ErrNoLayers),
+		errors.Is(err, render.ErrNoFeatures):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -138,8 +143,13 @@ type errorBody struct {
 // non-2xx body carries a code.
 func errorCode(err error, status int) string {
 	var c coded
-	if errors.As(err, &c) {
+	switch {
+	case errors.As(err, &c):
 		return c.Code()
+	case errors.Is(err, mint.ErrNoLayers):
+		return "no-layers"
+	case errors.Is(err, render.ErrNoFeatures):
+		return "no-features"
 	}
 	switch status {
 	case http.StatusBadRequest:

@@ -120,3 +120,31 @@ func TestGzipPanicRecyclesPooledWriter(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyDeviceIsClientError pins two inputs that are the client's
+// fault: a MINT conversion of a device without layers and an SVG render
+// of a device with nothing to draw. Both answer 422 with a stable code,
+// not 500 "internal".
+func TestEmptyDeviceIsClientError(t *testing.T) {
+	h := newTestServer(2)
+	cases := []struct {
+		path, body, code string
+	}{
+		{"/v1/convert", `{"device":{},"to":"mint"}`, "no-layers"},
+		{"/v1/render.svg", `{"device":{"name":"x"}}`, "no-features"},
+	}
+	for _, tc := range cases {
+		w := do(t, h, http.MethodPost, tc.path, tc.body)
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Errorf("POST %s %s: status %d, want 422; body %s", tc.path, tc.body, w.Code, w.Body)
+			continue
+		}
+		var body errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("POST %s: %v", tc.path, err)
+		}
+		if body.Code != tc.code {
+			t.Errorf("POST %s %s: code %q, want %q", tc.path, tc.body, body.Code, tc.code)
+		}
+	}
+}

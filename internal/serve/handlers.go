@@ -76,6 +76,15 @@ type request struct {
 	// Scale and Labels tune SVG rendering (render only).
 	Scale  float64 `json:"scale,omitempty"`
 	Labels bool    `json:"labels,omitempty"`
+
+	// Re-encoding hints, set only by the envelope parser alongside the
+	// field they describe, so appendRequestJSON can copy bytes instead of
+	// re-encoding them. deviceCompact reports that Device is already what
+	// core.AppendCompactJSON makes of it; textRaw, when non-nil, is Text's
+	// literal exactly as core.AppendJSONString writes it. textRaw aliases
+	// the request body, as Device does.
+	deviceCompact bool
+	textRaw       []byte
 }
 
 // decodeRequest parses the request envelope: the whole body into the

@@ -81,9 +81,23 @@ func TestParseRequestMatchesStd(t *testing.T) {
 		if wantErr != nil {
 			continue
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(withoutHints(got), want) {
 			t.Errorf("parseRequest(%q) = %+v, std = %+v", tc, got, want)
 		}
+		checkHintsInvisible(t, tc, &got)
+	}
+}
+
+// checkHintsInvisible asserts that the parser's re-encoding hints on req
+// change nothing: appendRequestJSON writes the same bytes with them set
+// and cleared.
+func checkHintsInvisible(t *testing.T, body string, req *request) {
+	t.Helper()
+	bare := withoutHints(*req)
+	got, gerr := appendRequestJSON(nil, req)
+	want, werr := appendRequestJSON(nil, &bare)
+	if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+		t.Errorf("%q: appendRequestJSON with hints = %s (%v), without = %s (%v)", body, got, gerr, want, werr)
 	}
 }
 
@@ -148,6 +162,10 @@ func TestParseBatchRequestMatchesStd(t *testing.T) {
 		if wantErr != nil {
 			continue
 		}
+		for i := range got.Items {
+			checkHintsInvisible(t, tc, &got.Items[i].request)
+			got.Items[i].request = withoutHints(got.Items[i].request)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parseBatchRequest(%q) = %+v, std = %+v", tc, got, want)
 		}
@@ -176,6 +194,8 @@ func TestParseJobSubmitMatchesStd(t *testing.T) {
 		if wantErr != nil {
 			continue
 		}
+		checkHintsInvisible(t, tc, &got.request)
+		got.request = withoutHints(got.request)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("parseJobSubmit(%q) = %+v, std = %+v", tc, got, want)
 		}

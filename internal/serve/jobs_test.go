@@ -549,6 +549,62 @@ func TestJobSubmitJournalFailure(t *testing.T) {
 	}
 }
 
+// TestJournalAppendErrorsCounted: a lifecycle record the journal cannot
+// write is counted in parchmint_journal_append_errors_total{record}. The
+// journal is closed while a job runs, so cancelling it drops the cancel
+// record. Without a journal the family is not registered at all.
+func TestJournalAppendErrorsCounted(t *testing.T) {
+	const family = "parchmint_journal_append_errors_total"
+	if body := do(t, newTestServer(1), "GET", "/metrics", "").Body.String(); strings.Contains(body, family) {
+		t.Errorf("%s registered without a journal", family)
+	}
+	j, err := job.OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, BaseSeed: BaseSeedDefault, Journal: j})
+	defer s.Close()
+	h := s.Handler()
+	w := do(t, h, "POST", "/v1/jobs", `{"op":"pnr","bench":"planar_synthetic_5"}`)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit status = %d: %s", w.Code, w.Body)
+	}
+	id := decodeJobDoc(t, w.Body.Bytes()).ID
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		doc := decodeJobDoc(t, do(t, h, "GET", "/v1/jobs/"+id, "").Body.Bytes())
+		if doc.Status == "running" {
+			break
+		}
+		if doc.Status != "queued" || time.Now().After(deadline) {
+			t.Fatalf("job status = %s, want it running", doc.Status)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if del := do(t, h, "DELETE", "/v1/jobs/"+id, ""); del.Code != http.StatusOK {
+		t.Fatalf("cancel status = %d", del.Code)
+	}
+	if final := waitJob(t, h, id); final.Status != "canceled" {
+		t.Fatalf("status after DELETE = %s, want canceled", final.Status)
+	}
+	metrics := do(t, h, "GET", "/metrics", "").Body.String()
+	if want := family + `{record="cancel"} 1`; !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, grepLines(metrics, family))
+	}
+}
+
+// grepLines returns the lines of text that contain needle.
+func grepLines(text, needle string) string {
+	var out []string
+	for _, l := range strings.Split(text, "\n") {
+		if strings.Contains(l, needle) {
+			out = append(out, l)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
 // readAll drains and closes a response body.
 func readAll(resp *http.Response) ([]byte, error) {
 	defer resp.Body.Close()

@@ -181,6 +181,9 @@ type Server struct {
 	// mJournalDropped surfaces unparseable journal lines skipped at boot,
 	// so mid-file corruption is visible before a handoff replays from it.
 	mJournalDropped *obs.Counter
+	// mJournalAppend counts start, finish and cancel records the journal
+	// failed to write; registered only with a journal.
+	mJournalAppend *obs.Counter // {record}
 
 	// mForwardFallback counts forwarding hops that failed and were
 	// served locally instead; registered only with a cluster.
@@ -289,6 +292,8 @@ func New(cfg Config) *Server {
 		"Journal lines skipped as unparseable during boot replay.")
 	if cfg.Journal != nil {
 		s.mJournalDropped.Add(float64(cfg.Journal.Dropped()))
+		s.mJournalAppend = s.reg.Counter("parchmint_journal_append_errors_total",
+			"Job journal records that failed to append, by record (start, finish, cancel); the job proceeds and replay re-runs it.", "record")
 	}
 	if len(cfg.Peers) > 0 {
 		// The cluster registers the parchmint_peer_* families and starts
@@ -350,6 +355,8 @@ func New(cfg Config) *Server {
 		Hooks: job.Hooks{
 			Submitted: func() { s.mJobsSubmitted.Inc() },
 			Started:   func() { s.mJobsStarted.Inc() },
+			// Reached only with a journal, where the counter exists.
+			AppendFailed: func(record string) { s.mJournalAppend.Inc(record) },
 			Finished: func(status job.Status, d time.Duration) {
 				switch status {
 				case job.StatusCompleted:
