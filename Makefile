@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzAppendCompactJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzRawValueCompact -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzReadStringRaw -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzMazeEngines -fuzztime $(FUZZTIME) -run '^$$' ./internal/route
 
 # gofmt drift fails the gate before vet runs.
 vet:

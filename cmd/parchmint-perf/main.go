@@ -248,6 +248,10 @@ func measure(k kernel, iters int) Result {
 
 var perfDevices = []string{"aquaflex_3b", "rotary_pcr", "general_purpose_mfd"}
 
+// jobDevices are the suite devices of the jobs_journal workload's fresh
+// pnr jobs.
+var jobDevices = []string{"aquaflex_3b", "aquaflex_5a", "chromatin_immunoprecipitation", "hiv_diagnostics", "rotary_pcr"}
+
 func device(name string) *core.Device {
 	b, err := bench.ByName(name)
 	if err != nil {
@@ -407,6 +411,28 @@ func kernels(replicas int) []kernel {
 			iters: 5,
 			fn: func() map[string]float64 {
 				report, err := route.RouteAll(context.Background(), p, route.AStar{}, route.Options{})
+				if err != nil {
+					cli.Fatalf("parchmint-perf: %v", err)
+				}
+				return map[string]float64{"expansions": float64(report.TotalExpansions())}
+			},
+		})
+	}
+	// The hadlock routeall kernels route the devices whose fresh pnr jobs
+	// the jobs_journal loadbench workload runs (greedy placement, hadlock
+	// routing), so the kernel that workload measures end to end has an
+	// in-process number too.
+	for _, name := range jobDevices {
+		d := device(name)
+		p, err := (place.Greedy{}).Place(context.Background(), d, place.NewOptions())
+		if err != nil {
+			cli.Fatalf("parchmint-perf: %v", err)
+		}
+		ks = append(ks, kernel{
+			name:  "route/routeall/" + name + "/hadlock",
+			iters: 20,
+			fn: func() map[string]float64 {
+				report, err := route.RouteAll(context.Background(), p, route.Hadlock{}, route.Options{})
 				if err != nil {
 					cli.Fatalf("parchmint-perf: %v", err)
 				}

@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Cell addresses one square of a Grid in column/row space.
 type Cell struct {
@@ -13,39 +16,95 @@ func (c Cell) String() string { return fmt.Sprintf("c%dr%d", c.Col, c.Row) }
 // Grid discretizes a device region into square cells of Pitch micrometers,
 // tracking which cells are blocked by placed geometry. Routers operate on
 // this occupancy view rather than on raw coordinates.
+//
+// Occupancy and cost live in a padded row-major layout: the cols×rows
+// cells sit inside a one-cell ring that is always blocked, so a row is
+// Stride() = cols+2 entries long and cell (col, row) is entry
+// (row+1)*stride + col+1. A maze search steps to a neighbor by adding one
+// of {+1, -1, +stride, -stride} to a flat index and never needs a bounds
+// check: stepping off the grid lands on a blocked ring cell.
 type Grid struct {
 	bounds  Rect
 	pitch   int64
 	cols    int
 	rows    int
+	stride  int
 	blocked []bool
 	// cost holds per-cell additive routing cost (congestion penalties from
-	// rip-up-and-reroute); zero means free.
+	// rip-up-and-reroute); zero means free. Ring cells stay zero.
 	cost []int32
 }
 
-// NewGrid builds an occupancy grid covering bounds with the given pitch.
-// The pitch must be positive; bounds must be non-empty.
-func NewGrid(bounds Rect, pitch int64) (*Grid, error) {
+// MaxGridCells bounds the cells of one grid. It is far above the largest
+// routing grid any suite device or sweep builds at the default pitch
+// (sweep_1280 at about 796k cells) and keeps every padded cell index
+// inside int32.
+const MaxGridCells = 1 << 21
+
+// ErrGridTooLarge is wrapped by the error for a grid whose cell count
+// exceeds MaxGridCells.
+var ErrGridTooLarge = errors.New("routing grid too large")
+
+// GridDims returns the column and row counts of a grid covering bounds at
+// the given pitch, without allocating it. It fails when the pitch is not
+// positive, the bounds are empty, or the grid would exceed MaxGridCells
+// (an error wrapping ErrGridTooLarge).
+func GridDims(bounds Rect, pitch int64) (cols, rows int, err error) {
 	if pitch <= 0 {
-		return nil, fmt.Errorf("geom: grid pitch must be positive, got %d", pitch)
+		return 0, 0, fmt.Errorf("geom: grid pitch must be positive, got %d", pitch)
 	}
 	if bounds.Empty() {
-		return nil, fmt.Errorf("geom: grid bounds %v are empty", bounds)
+		return 0, 0, fmt.Errorf("geom: grid bounds %v are empty", bounds)
 	}
-	cols := int((bounds.Dx() + pitch - 1) / pitch)
-	rows := int((bounds.Dy() + pitch - 1) / pitch)
-	if cols <= 0 || rows <= 0 {
-		return nil, fmt.Errorf("geom: grid %v at pitch %d has no cells", bounds, pitch)
+	dx, dy := bounds.Dx(), bounds.Dy()
+	if dx <= 0 || dy <= 0 {
+		// Non-empty bounds whose extent overflows int64.
+		return 0, 0, fmt.Errorf("geom: grid bounds %v: %w", bounds, ErrGridTooLarge)
 	}
-	return &Grid{
+	c, r := ceilDiv(dx, pitch), ceilDiv(dy, pitch)
+	if c > MaxGridCells || r > MaxGridCells/c {
+		return 0, 0, fmt.Errorf("geom: %d×%d cells at pitch %d µm exceed the %d-cell limit: %w",
+			c, r, pitch, MaxGridCells, ErrGridTooLarge)
+	}
+	return int(c), int(r), nil
+}
+
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 {
+		q++
+	}
+	return q
+}
+
+// NewGrid builds an occupancy grid covering bounds with the given pitch.
+// The pitch must be positive, bounds must be non-empty, and the grid may
+// hold at most MaxGridCells cells (see GridDims).
+func NewGrid(bounds Rect, pitch int64) (*Grid, error) {
+	cols, rows, err := GridDims(bounds, pitch)
+	if err != nil {
+		return nil, err
+	}
+	stride := cols + 2
+	n := stride * (rows + 2)
+	g := &Grid{
 		bounds:  bounds,
 		pitch:   pitch,
 		cols:    cols,
 		rows:    rows,
-		blocked: make([]bool, cols*rows),
-		cost:    make([]int32, cols*rows),
-	}, nil
+		stride:  stride,
+		blocked: make([]bool, n),
+		cost:    make([]int32, n),
+	}
+	for col := 0; col < stride; col++ {
+		g.blocked[col] = true
+		g.blocked[n-1-col] = true
+	}
+	for row := 1; row <= rows; row++ {
+		g.blocked[row*stride] = true
+		g.blocked[row*stride+stride-1] = true
+	}
+	return g, nil
 }
 
 // Cols returns the number of grid columns.
@@ -68,7 +127,34 @@ func (g *Grid) InBounds(c Cell) bool {
 	return c.Col >= 0 && c.Col < g.cols && c.Row >= 0 && c.Row < g.rows
 }
 
-func (g *Grid) index(c Cell) int { return c.Row*g.cols + c.Col }
+// index is c's entry in the padded layout; c must be in bounds.
+func (g *Grid) index(c Cell) int { return (c.Row+1)*g.stride + c.Col + 1 }
+
+// Stride returns the row length of the padded layout, cols+2.
+func (g *Grid) Stride() int { return g.stride }
+
+// PaddedLen returns the number of entries in the padded layout,
+// ring included.
+func (g *Grid) PaddedLen() int { return len(g.blocked) }
+
+// PaddedIndex returns c's index in the padded layout, or -1 when c is
+// outside the grid.
+func (g *Grid) PaddedIndex(c Cell) int32 {
+	if !g.InBounds(c) {
+		return -1
+	}
+	return int32(g.index(c))
+}
+
+// PaddedCell maps the padded index of an in-bounds cell back to the cell.
+func (g *Grid) PaddedCell(i int32) Cell {
+	return Cell{Col: int(i)%g.stride - 1, Row: int(i)/g.stride - 1}
+}
+
+// Occupancy returns the padded blocked and cost arrays. They are the
+// grid's own storage, exposed so maze searches can read them by flat
+// index; callers must not modify them.
+func (g *Grid) Occupancy() (blocked []bool, cost []int32) { return g.blocked, g.cost }
 
 // CellOf maps a device-space point to its containing cell. Points outside
 // the bounds are clamped to the nearest edge cell so that ports sitting
@@ -135,7 +221,7 @@ func (g *Grid) BlockRect(r Rect) int {
 	n := 0
 	for row := lo.Row; row <= hi.Row; row++ {
 		for col := lo.Col; col <= hi.Col; col++ {
-			i := row*g.cols + col
+			i := g.index(Cell{Col: col, Row: row})
 			if !g.blocked[i] {
 				g.blocked[i] = true
 				n++
@@ -167,7 +253,8 @@ func (g *Grid) Cost(c Cell) int32 {
 	return g.cost[g.index(c)]
 }
 
-// FreeCells returns the number of unblocked cells.
+// FreeCells returns the number of unblocked cells (ring cells are always
+// blocked, so counting the padded layout counts the grid).
 func (g *Grid) FreeCells() int {
 	n := 0
 	for _, b := range g.blocked {
@@ -178,35 +265,22 @@ func (g *Grid) FreeCells() int {
 	return n
 }
 
-// Neighbors4 appends the in-bounds von Neumann neighbors of c to dst and
-// returns the extended slice. Using an append-style API lets routers reuse
-// one scratch buffer across millions of expansions.
-func (g *Grid) Neighbors4(dst []Cell, c Cell) []Cell {
-	candidates := [4]Cell{
-		{c.Col + 1, c.Row},
-		{c.Col - 1, c.Row},
-		{c.Col, c.Row + 1},
-		{c.Col, c.Row - 1},
-	}
-	for _, n := range candidates {
-		if g.InBounds(n) {
-			dst = append(dst, n)
+// Clone returns a deep copy of the grid, including occupancy and cost.
+func (g *Grid) Clone() *Grid { return g.CloneInto(nil) }
+
+// CloneInto copies g into dst and returns it, reusing dst's storage when
+// it holds a grid of the same shape; otherwise (or when dst is nil) it
+// returns a freshly allocated copy.
+func (g *Grid) CloneInto(dst *Grid) *Grid {
+	if dst == nil || len(dst.blocked) != len(g.blocked) {
+		dst = &Grid{
+			blocked: make([]bool, len(g.blocked)),
+			cost:    make([]int32, len(g.cost)),
 		}
 	}
+	dst.bounds, dst.pitch = g.bounds, g.pitch
+	dst.cols, dst.rows, dst.stride = g.cols, g.rows, g.stride
+	copy(dst.blocked, g.blocked)
+	copy(dst.cost, g.cost)
 	return dst
-}
-
-// Clone returns a deep copy of the grid, including occupancy and cost.
-func (g *Grid) Clone() *Grid {
-	out := &Grid{
-		bounds:  g.bounds,
-		pitch:   g.pitch,
-		cols:    g.cols,
-		rows:    g.rows,
-		blocked: make([]bool, len(g.blocked)),
-		cost:    make([]int32, len(g.cost)),
-	}
-	copy(out.blocked, g.blocked)
-	copy(out.cost, g.cost)
-	return out
 }

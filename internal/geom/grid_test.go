@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -149,25 +150,65 @@ func TestGridCost(t *testing.T) {
 	g.AddCost(Cell{99, 99}, 5) // must not panic
 }
 
-func TestGridNeighbors4(t *testing.T) {
-	g := mustGrid(t, R(0, 0, 30, 30), 10) // 3x3
-	mid := g.Neighbors4(nil, Cell{1, 1})
-	if len(mid) != 4 {
-		t.Errorf("center has %d neighbors, want 4", len(mid))
+// TestGridPaddedLayout pins the layout maze searches index into: a
+// blocked one-cell ring around the grid, stride cols+2, and the four
+// neighbor offsets landing on the Cell neighbors.
+func TestGridPaddedLayout(t *testing.T) {
+	g := mustGrid(t, R(0, 0, 40, 30), 10) // 4x3
+	if g.Stride() != 6 || g.PaddedLen() != 6*5 {
+		t.Fatalf("stride %d, padded len %d, want 6 and 30", g.Stride(), g.PaddedLen())
 	}
-	corner := g.Neighbors4(nil, Cell{0, 0})
-	if len(corner) != 2 {
-		t.Errorf("corner has %d neighbors, want 2", len(corner))
+	blocked, cost := g.Occupancy()
+	free := 0
+	for i, b := range blocked {
+		c := g.PaddedCell(int32(i))
+		if g.InBounds(c) == b {
+			t.Errorf("padded entry %d (%v): blocked=%v", i, c, b)
+		}
+		if !b {
+			free++
+		}
 	}
-	edge := g.Neighbors4(nil, Cell{1, 0})
-	if len(edge) != 3 {
-		t.Errorf("edge has %d neighbors, want 3", len(edge))
+	if free != g.NumCells() || g.FreeCells() != g.NumCells() {
+		t.Errorf("free entries %d, FreeCells %d, want %d", free, g.FreeCells(), g.NumCells())
 	}
-	// Append semantics: reuses dst.
-	buf := make([]Cell, 0, 4)
-	buf = g.Neighbors4(buf, Cell{2, 2})
-	if len(buf) != 2 {
-		t.Errorf("bottom-right corner has %d neighbors, want 2", len(buf))
+	mid := Cell{Col: 1, Row: 1}
+	i := g.PaddedIndex(mid)
+	if g.PaddedCell(i) != mid {
+		t.Errorf("PaddedCell(PaddedIndex(%v)) = %v", mid, g.PaddedCell(i))
+	}
+	want := []Cell{{2, 1}, {0, 1}, {1, 2}, {1, 0}}
+	for k, off := range []int32{1, -1, int32(g.Stride()), -int32(g.Stride())} {
+		if got := g.PaddedCell(i + off); got != want[k] {
+			t.Errorf("offset %d from %v lands on %v, want %v", off, mid, got, want[k])
+		}
+	}
+	if g.PaddedIndex(Cell{Col: 4, Row: 0}) != -1 || g.PaddedIndex(Cell{Col: -1, Row: 2}) != -1 {
+		t.Error("out-of-bounds cell has a padded index")
+	}
+	g.Block(mid)
+	g.AddCost(Cell{Col: 3, Row: 2}, 7)
+	if !blocked[i] || cost[g.PaddedIndex(Cell{Col: 3, Row: 2})] != 7 {
+		t.Error("Occupancy does not view the grid's own storage")
+	}
+}
+
+func TestGridDimsLimit(t *testing.T) {
+	cols, rows, err := GridDims(R(0, 0, 1024*100, 2048*100), 100)
+	if err != nil || cols != 1024 || rows != 2048 {
+		t.Fatalf("GridDims at the limit = %d, %d, %v", cols, rows, err)
+	}
+	for _, b := range []Rect{
+		R(0, 0, 1025*100, 2048*100),
+		R(0, 0, int64(MaxGridCells+1)*100, 100),
+		R(-1<<62, -1<<62, 1<<62, 1<<62), // extent overflows int64
+	} {
+		if _, _, err := GridDims(b, 100); !errors.Is(err, ErrGridTooLarge) {
+			t.Errorf("GridDims(%v) = %v, want ErrGridTooLarge", b, err)
+		}
+		if _, err := NewGrid(b, 100); !errors.Is(err, ErrGridTooLarge) {
+			t.Errorf("NewGrid(%v) = %v, want ErrGridTooLarge", b, err)
+		}
 	}
 }
 
@@ -186,5 +227,13 @@ func TestGridClone(t *testing.T) {
 	}
 	if g.Cost(Cell{2, 2}) != 3 {
 		t.Error("mutating clone changed original cost")
+	}
+	// CloneInto reuses a same-shaped destination and resets it fully.
+	if d := g.CloneInto(c); d != c || d.Blocked(Cell{3, 3}) || d.Cost(Cell{2, 2}) != 3 {
+		t.Error("CloneInto did not overwrite a same-shaped grid in place")
+	}
+	other := mustGrid(t, R(0, 0, 50, 40), 10)
+	if d := g.CloneInto(other); d == other || d.Cols() != 4 || !d.Blocked(Cell{1, 1}) {
+		t.Error("CloneInto reused a grid of another shape")
 	}
 }

@@ -96,7 +96,7 @@ func (Annealer) Place(ctx context.Context, d *core.Device, opts Options) (*Place
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	die := DieFor(d, opts.utilization())
+	die := opts.Die(d)
 	start, err := greedyPlace(d, die)
 	if err != nil {
 		return nil, err

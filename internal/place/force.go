@@ -27,7 +27,7 @@ func (ForceDirected) Place(ctx context.Context, d *core.Device, opts Options) (*
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	die := DieFor(d, opts.utilization())
+	die := opts.Die(d)
 	p, err := greedyPlace(d, die)
 	if err != nil {
 		return nil, err

@@ -22,7 +22,7 @@ func (Greedy) Place(ctx context.Context, d *core.Device, opts Options) (*Placeme
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return greedyPlace(d, DieFor(d, opts.utilization()))
+	return greedyPlace(d, opts.Die(d))
 }
 
 // greedyPlace shelf-packs in BFS order; the randomized engines also use it

@@ -101,6 +101,10 @@ func (o Options) utilization() float64 {
 	return o.Utilization
 }
 
+// Die returns the die every placement engine places d on under these
+// options: DieFor at the resolved utilization.
+func (o Options) Die(d *core.Device) geom.Rect { return DieFor(d, o.utilization()) }
+
 // Option mutates an Options value; see NewOptions.
 type Option func(*Options)
 

@@ -149,6 +149,12 @@ func RunContext(ctx context.Context, d *core.Device, opts Options) (*Result, err
 	flow.SetAttr("device", d.Name)
 	defer flow.End()
 
+	// Bound the work before placing: a die whose routing grid would exceed
+	// geom.MaxGridCells is rejected here, not after minutes of work.
+	if err := route.CheckGrid(opts.Place.Die(d), opts.Route); err != nil {
+		return nil, fmt.Errorf("pnr: %w", err)
+	}
+
 	// Each started stage is observed exactly once: on success with its full
 	// duration, on error or cancellation with the partial duration up to the
 	// abort. Telemetry spans mirror the same timing but are a separate sink,

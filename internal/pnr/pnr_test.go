@@ -1,11 +1,13 @@
 package pnr
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/place"
 	"repro/internal/route"
 	"repro/internal/validate"
@@ -157,5 +159,23 @@ func TestObserveNilIsSilent(t *testing.T) {
 	d := device(t, "rotary_pcr")
 	if _, err := Run(d, Options{Placer: place.Greedy{}, Router: route.AStar{}}); err != nil {
 		t.Fatalf("Run without observer: %v", err)
+	}
+}
+
+// TestRunRejectsOversizedGrid pins the routing-work bound: a die whose
+// routing grid would exceed geom.MaxGridCells fails with
+// geom.ErrGridTooLarge before the place stage starts.
+func TestRunRejectsOversizedGrid(t *testing.T) {
+	d := device(t, "rotary_pcr")
+	var stages []string
+	_, err := Run(d, NewOptions(
+		WithUtilization(0.0001),
+		WithObserver(func(stage string, _ time.Duration) { stages = append(stages, stage) }),
+	))
+	if !errors.Is(err, geom.ErrGridTooLarge) {
+		t.Fatalf("Run at utilization 0.0001 = %v, want ErrGridTooLarge", err)
+	}
+	if len(stages) != 0 {
+		t.Errorf("stages %v ran before the rejection", stages)
 	}
 }

@@ -7,30 +7,32 @@ import (
 )
 
 // searchArena is the reusable per-search scratch shared by the three maze
-// engines: predecessor links, per-engine cost labels, frontier storage,
-// and a neighbor buffer. Arenas are pooled, and instead of refilling the
-// O(cells) label arrays before every search, cells carry a generation
-// stamp — a label is valid only when its stamp matches the arena's
-// current generation, so "clearing" the arena is one integer increment.
+// engines: predecessor links, per-engine cost labels and frontier
+// storage, all over the grid's padded cell indices (see geom.Grid). Arenas
+// are pooled, and instead of refilling the O(cells) label arrays before
+// every search, cells carry a generation stamp — a label is valid only
+// when its stamp matches the arena's current generation, so "clearing"
+// the arena is one integer increment.
 //
 // Pooling is what makes Router.Search allocation-free in steady state:
 // concurrent searches (the serve worker gate, parallel experiments) each
 // take their own arena, and arenas only grow, so a search on a small grid
 // reuses a big grid's arrays untouched.
 type searchArena struct {
-	g   *geom.Grid
 	gen uint32
-	// stamp validates parent/dist/detour entries for the current search.
-	stamp  []uint32
-	parent []int32 // cell index -> predecessor cell index, -2 root
-	dist   []int64 // A*: best path cost so far
-	detour []int32 // Hadlock: detour count
-	// frontier storage, reused across searches.
-	heap    []pqItem
-	queue   []geom.Cell
-	next    []geom.Cell
-	scratch []geom.Cell
-	rev     []geom.Cell
+	// cells holds one search label per padded index. Keeping a cell's
+	// stamp, predecessor and cost in one struct means a neighbor test
+	// touches one cache line, not three arrays.
+	cells []cellLabel
+	// Frontier storage, reused across searches: the FIFO level queues of
+	// Lee and Hadlock, and A*'s FIFO buckets indexed by prio - base. A
+	// bucket is a singly linked list threaded through items, from head[b]
+	// to tail[b] (-1 when empty), so all buckets share one growing slice.
+	queue []int32
+	next  []int32
+	items []pqItem
+	head  []int32
+	tail  []int32
 }
 
 var arenaPool = sync.Pool{New: func() any { return new(searchArena) }}
@@ -39,115 +41,81 @@ var arenaPool = sync.Pool{New: func() any { return new(searchArena) }}
 // generation. Callers must release() it when the search ends.
 func acquireArena(g *geom.Grid) *searchArena {
 	a := arenaPool.Get().(*searchArena)
-	n := g.NumCells()
-	if len(a.stamp) < n {
-		a.stamp = make([]uint32, n)
-		a.parent = make([]int32, n)
-		a.dist = make([]int64, n)
-		a.detour = make([]int32, n)
+	if n := g.PaddedLen(); len(a.cells) < n {
+		a.cells = make([]cellLabel, n)
 		a.gen = 0 // fresh zeroed stamps: restart generations below it
 	}
-	a.g = g
 	a.gen++
 	if a.gen == 0 { // wraparound: re-zero the stamps once per 2^32 searches
-		for i := range a.stamp {
-			a.stamp[i] = 0
+		for i := range a.cells {
+			a.cells[i].stamp = 0
 		}
 		a.gen = 1
 	}
-	a.heap = a.heap[:0]
 	a.queue = a.queue[:0]
 	a.next = a.next[:0]
+	a.items = a.items[:0]
+	a.head = a.head[:0]
+	a.tail = a.tail[:0]
 	return a
 }
 
-func (a *searchArena) release() {
-	a.g = nil
-	arenaPool.Put(a)
+func (a *searchArena) release() { arenaPool.Put(a) }
+
+// cellLabel is one cell's search state. stamp validates parent and cost
+// for the current generation.
+type cellLabel struct {
+	stamp  uint32
+	parent int32 // predecessor padded index, -2 at a root
+	cost   int64 // A*: best path cost so far; Hadlock: detour count
 }
 
-// visited reports whether cell index i carries labels from this search.
-func (a *searchArena) visited(i int32) bool { return a.stamp[i] == a.gen }
+// visited reports whether padded index i carries labels from this search.
+func (a *searchArena) visited(i int32) bool { return a.cells[i].stamp == a.gen }
 
-// visit stamps cell index i into the current generation.
-func (a *searchArena) visit(i int32) { a.stamp[i] = a.gen }
-
-func (a *searchArena) index(c geom.Cell) int32 { return int32(c.Row*a.g.Cols() + c.Col) }
-
-func (a *searchArena) cell(i int32) geom.Cell {
-	cols := a.g.Cols()
-	return geom.Cell{Col: int(i) % cols, Row: int(i) / cols}
+// label stamps padded index i into the current generation with the given
+// predecessor and cost.
+func (a *searchArena) label(i, parent int32, cost int64) {
+	a.cells[i] = cellLabel{stamp: a.gen, parent: parent, cost: cost}
 }
 
-// unwind rebuilds the path from a root to the target. The reversal buffer
-// is arena-owned; only the returned path is freshly allocated (it outlives
-// the search).
-func (a *searchArena) unwind(target geom.Cell) []geom.Cell {
-	rev := a.rev[:0]
-	for i := a.index(target); i != -2; i = a.parent[i] {
-		rev = append(rev, a.cell(i))
+// unwind rebuilds the path from a root to the target, converting padded
+// indices back to cells. Only the returned path is allocated (it outlives
+// the search): one walk up the parent chain counts the cells, a second
+// fills the path back to front.
+func (a *searchArena) unwind(g *geom.Grid, target int32) []geom.Cell {
+	n := 0
+	for i := target; i != -2; i = a.cells[i].parent {
+		n++
 	}
-	a.rev = rev
-	out := make([]geom.Cell, len(rev))
-	for i, c := range rev {
-		out[len(rev)-1-i] = c
+	out := make([]geom.Cell, n)
+	for i := target; i != -2; i = a.cells[i].parent {
+		n--
+		out[n] = g.PaddedCell(i)
 	}
 	return out
 }
 
-// pqLess is the frontier order of the best-first engines: priority, then
-// insertion sequence. seq is unique per pushed item, so the order is
-// total and every correct heap pops the exact same sequence — expansion
-// order (and with it every routed artifact) is implementation-independent.
-func pqLess(x, y pqItem) bool {
-	if x.prio != y.prio {
-		return x.prio < y.prio
-	}
-	return x.seq < y.seq
+// pqItem is one A* frontier entry; its priority is implied by the bucket
+// that holds it.
+type pqItem struct {
+	cell int32
+	next int32 // the bucket's following item, -1 at its tail
+	g    int64 // cost so far
 }
 
-// heapPush inserts an item into the arena's binary heap. A concrete
-// []pqItem heap replaces container/heap: no interface boxing per push and
-// pop, which was the router's dominant allocation source.
-func (a *searchArena) heapPush(it pqItem) {
-	h := append(a.heap, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !pqLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
+// bucketPush appends a frontier entry to the tail of bucket b.
+func (a *searchArena) bucketPush(b int, cell int32, g int64) {
+	for b >= len(a.head) {
+		a.head = append(a.head, -1)
+		a.tail = append(a.tail, -1)
 	}
-	a.heap = h
-}
-
-// heapPop removes and returns the least item.
-func (a *searchArena) heapPop() pqItem {
-	h := a.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && pqLess(h[l], h[least]) {
-			least = l
-		}
-		if r < n && pqLess(h[r], h[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
+	k := int32(len(a.items))
+	a.items = append(a.items, pqItem{cell: cell, next: -1, g: g})
+	if t := a.tail[b]; t >= 0 {
+		a.items[t].next = k
+	} else {
+		a.head[b] = k
 	}
-	a.heap = h
-	return top
+	a.tail[b] = k
 }
-
-func (a *searchArena) heapLen() int { return len(a.heap) }

@@ -3,7 +3,6 @@ package route
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -108,29 +107,55 @@ func (e errResult) Error() string {
 		e.engine, e.query, e.gotLen, e.gotExp, e.wantLen, e.wantExp)
 }
 
-// TestArenaHeapOrder is the determinism keystone for the concrete heap:
-// (prio, seq) is a total order, so the pop sequence must be exactly the
-// sorted order for arbitrary push interleavings.
-func TestArenaHeapOrder(t *testing.T) {
+// TestArenaBucketOrder is the determinism keystone for A*'s bucket
+// queue. Under A*'s contract — every push made while bucket p is being
+// expanded lands in bucket p or later — draining the buckets lowest first,
+// each in FIFO order, must pop exactly the order of a (prio, push
+// sequence) priority queue. The trial interleaves pops and pushes the way
+// a search does and checks every pop against a linear-scan reference.
+// Arbitrary (non-monotone) push orders are outside the contract.
+func TestArenaBucketOrder(t *testing.T) {
 	rng := xrand.New(42)
+	type ref struct {
+		prio int
+		seq  int32
+	}
 	for trial := 0; trial < 50; trial++ {
 		a := acquireArena(mustGrid(t))
-		n := 1 + rng.Intn(200)
-		items := make([]pqItem, n)
-		for i := range items {
-			items[i] = pqItem{prio: int64(rng.Intn(20)), seq: int64(i)}
-			a.heapPush(items[i])
+		var want []ref
+		var seq int32
+		push := func(prio int) {
+			a.bucketPush(prio, seq, 0)
+			want = append(want, ref{prio, seq})
+			seq++
 		}
-		sort.Slice(items, func(i, j int) bool { return pqLess(items[i], items[j]) })
-		for i := range items {
-			got := a.heapPop()
-			if got.prio != items[i].prio || got.seq != items[i].seq {
-				t.Fatalf("trial %d: pop %d = (%d,%d), want (%d,%d)",
-					trial, i, got.prio, got.seq, items[i].prio, items[i].seq)
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			push(rng.Intn(8))
+		}
+		pops := 0
+		for b := 0; b < len(a.head); b++ {
+			for k := a.head[b]; k >= 0; k = a.items[k].next {
+				got := a.items[k]
+				least := 0
+				for i, r := range want {
+					if r.prio < want[least].prio || (r.prio == want[least].prio && r.seq < want[least].seq) {
+						least = i
+					}
+				}
+				if w := want[least]; w.prio != b || w.seq != got.cell {
+					t.Fatalf("trial %d: pop %d = (%d,%d), want (%d,%d)", trial, pops, b, got.cell, w.prio, w.seq)
+				}
+				want = append(want[:least], want[least+1:]...)
+				pops++
+				if seq < 300 {
+					for n := rng.Intn(4); n > 0; n-- {
+						push(b + rng.Intn(6)) // monotone: never below b
+					}
+				}
 			}
 		}
-		if a.heapLen() != 0 {
-			t.Fatal("heap not drained")
+		if len(want) != 0 {
+			t.Fatalf("trial %d: %d pushed items never popped", trial, len(want))
 		}
 		a.release()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -76,6 +77,17 @@ func (o Options) rounds() int {
 	return o.RipupRounds
 }
 
+// CheckGrid reports whether RouteAll can build its routing grids for a
+// placement on die under opts, without building them. It fails with an
+// error wrapping geom.ErrGridTooLarge when a layer's grid would exceed
+// geom.MaxGridCells, so a caller can reject the work before placing.
+func CheckGrid(die geom.Rect, opts Options) error {
+	if _, _, err := geom.GridDims(die, opts.pitch()); err != nil {
+		return fmt.Errorf("route: %w", err)
+	}
+	return nil
+}
+
 // NetResult is the routing outcome for one connection.
 type NetResult struct {
 	// Net is the connection ID.
@@ -86,7 +98,12 @@ type NetResult struct {
 	Routed bool
 	// Length is the total routed channel length in µm.
 	Length int64
-	// Expansions counts search node expansions across all sinks and rounds.
+	// Expansions counts the search node expansions of the reported
+	// round's searches for this net, across its sinks. When the net was
+	// routed by a rip-up retry, it also includes the failed search that
+	// triggered the retry. Searches of other rounds and of rolled-back
+	// rip-ups are not counted here; parchmint_route_expansions_total
+	// counts every search.
 	Expansions int
 	// Segments are the routed channel features (empty when unrouted).
 	Segments []core.Feature
@@ -274,13 +291,16 @@ func RouteAll(ctx context.Context, p *place.Placement, router Router, opts Optio
 	failCount := map[string]int{}
 	var bestResults []NetResult
 	bestRouted := -1
+	// Working grids and the rip-up snapshot are allocated once and
+	// overwritten each round: every layer's grid has the same shape.
+	work := make(map[string]*geom.Grid, len(grids))
+	var sc scratch
 	for round := 1; round <= opts.rounds(); round++ {
 		report.Rounds = round
 		// Fresh path occupancy each round; component and pin blocks (and
-		// accumulated history costs) persist via clone of the base grids.
-		work := make(map[string]*geom.Grid, len(grids))
+		// accumulated history costs) persist via copies of the base grids.
 		for lid, g := range grids {
-			work[lid] = g.Clone()
+			work[lid] = g.CloneInto(work[lid])
 		}
 		// Chronic failures route first.
 		roundJobs := append([]netJob(nil), jobs...)
@@ -289,7 +309,7 @@ func RouteAll(ctx context.Context, p *place.Placement, router Router, opts Optio
 				return failCount[roundJobs[a].conn.ID] > failCount[roundJobs[b].conn.ID]
 			})
 		}
-		results, routed := routeRound(ctx, work, router, roundJobs, opts, d, len(d.Connections))
+		results, routed := routeRound(ctx, work, &sc, router, roundJobs, opts, d, len(d.Connections))
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("route: %w", err)
 		}
@@ -323,11 +343,21 @@ type routedNet struct {
 	blocked []geom.Cell
 }
 
+// scratch is storage RouteAll reuses across nets and rounds: the rip-up
+// snapshot grid, and searchNet's route tree and found paths, which live
+// only until routeNet has blocked them.
+type scratch struct {
+	snapshot *geom.Grid
+	tree     []geom.Cell
+	paths    [][]geom.Cell
+}
+
 // roundState carries one routing round's mutable state: the working
 // grids, per-connection results, the routed-net index that powers
 // targeted rip-up, and the round's rip-up budget.
 type roundState struct {
 	work        map[string]*geom.Grid
+	sc          *scratch
 	router      Router
 	opts        Options
 	d           *core.Device
@@ -351,7 +381,7 @@ func (rs *roundState) record(job *netJob, res NetResult, blocked []geom.Cell) {
 // cleared region, and the victims re-route afterwards.
 func (rs *roundState) routeOne(ctx context.Context, job *netJob, allowRipup bool) {
 	g := rs.work[job.conn.Layer]
-	res, blocked := routeNet(ctx, g, rs.router, job, rs.opts, rs.d)
+	res, blocked := routeNet(ctx, g, rs.sc, rs.router, job, rs.opts, rs.d)
 	if res.Routed || !allowRipup || g == nil || rs.ripupBudget <= 0 {
 		rs.record(job, res, blocked)
 		return
@@ -384,7 +414,10 @@ func (rs *roundState) routeOne(ctx context.Context, job *netJob, allowRipup bool
 	}
 	// Deterministic victim order: device order.
 	sort.Slice(victims, func(a, b int) bool { return victims[a].job.index < victims[b].job.index })
-	snapshot := g.Clone()
+	// The victims re-route without rip-up, so no nested transaction
+	// overwrites the snapshot before this one commits or rolls back.
+	snapshot := g.CloneInto(rs.sc.snapshot)
+	rs.sc.snapshot = snapshot
 	saved := make([]routedNet, len(victims))
 	for i, v := range victims {
 		saved[i] = *v
@@ -395,7 +428,7 @@ func (rs *roundState) routeOne(ctx context.Context, job *netJob, allowRipup bool
 		}
 		rs.record(v.job, NetResult{Net: v.job.conn.ID, Layer: v.job.conn.Layer}, nil)
 	}
-	retry, retryBlocked := routeNet(ctx, g, rs.router, job, rs.opts, rs.d)
+	retry, retryBlocked := routeNet(ctx, g, rs.sc, rs.router, job, rs.opts, rs.d)
 	retry.Expansions += res.Expansions
 	rs.record(job, retry, retryBlocked)
 	for _, v := range victims {
@@ -413,8 +446,9 @@ func (rs *roundState) routeOne(ctx context.Context, job *netJob, allowRipup bool
 	if newRouted > len(victims) {
 		return // committed: strictly more nets routed than before
 	}
-	// Roll back.
-	rs.work[job.conn.Layer] = snapshot
+	// Roll back: the snapshot becomes the layer's grid, and the abandoned
+	// grid becomes the next snapshot's storage.
+	rs.work[job.conn.Layer], rs.sc.snapshot = snapshot, g
 	rs.record(job, res, nil)
 	for i := range saved {
 		rs.record(saved[i].job, saved[i].res, saved[i].blocked)
@@ -423,9 +457,10 @@ func (rs *roundState) routeOne(ctx context.Context, job *netJob, allowRipup bool
 
 // routeRound routes all jobs once, in round order. Returns
 // per-connection results (indexed by device order) and the routed count.
-func routeRound(ctx context.Context, work map[string]*geom.Grid, router Router, roundJobs []netJob, opts Options, d *core.Device, nConns int) ([]NetResult, int) {
+func routeRound(ctx context.Context, work map[string]*geom.Grid, sc *scratch, router Router, roundJobs []netJob, opts Options, d *core.Device, nConns int) ([]NetResult, int) {
 	rs := &roundState{
 		work:        work,
+		sc:          sc,
 		router:      router,
 		opts:        opts,
 		d:           d,
@@ -448,8 +483,8 @@ func routeRound(ctx context.Context, work map[string]*geom.Grid, router Router, 
 // free→blocked transitions (endpoints sit on cells already blocked by
 // component footprints and pin reservations), so a targeted rip-up can
 // undo them.
-func routeNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, opts Options, d *core.Device) (NetResult, []geom.Cell) {
-	res, paths := searchNet(ctx, g, router, job, opts, d)
+func routeNet(ctx context.Context, g *geom.Grid, sc *scratch, router Router, job *netJob, opts Options, d *core.Device) (NetResult, []geom.Cell) {
+	res, paths := searchNet(ctx, g, sc, router, job, opts, d)
 	var newlyBlocked []geom.Cell
 	for _, path := range paths {
 		for _, c := range path {
@@ -466,8 +501,9 @@ func routeNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, opt
 // sink, then each further sink to the growing route tree (sequential
 // Steiner approximation). The grid's net effect is zero — escape lanes
 // are restored and found paths are NOT blocked; routeNet blocks them.
-// Segments and length are fully rendered here.
-func searchNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, opts Options, d *core.Device) (NetResult, [][]geom.Cell) {
+// Segments and length are fully rendered here. The returned paths live
+// in sc and are valid until the next searchNet call.
+func searchNet(ctx context.Context, g *geom.Grid, sc *scratch, router Router, job *netJob, opts Options, d *core.Device) (NetResult, [][]geom.Cell) {
 	res := NetResult{Net: job.conn.ID, Layer: job.conn.Layer}
 	if g == nil {
 		return res, nil // undeclared layer; validator reports it
@@ -490,9 +526,8 @@ func searchNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, op
 			g.Unblock(c)
 		}
 	}
-	srcCell := g.CellOf(job.pins[0])
-	tree := []geom.Cell{srcCell}
-	var allPaths [][]geom.Cell
+	tree := append(sc.tree[:0], g.CellOf(job.pins[0]))
+	allPaths := sc.paths[:0]
 	routedAll := true
 	for _, sinkPt := range job.pins[1:] {
 		target := g.CellOf(sinkPt)
@@ -505,6 +540,7 @@ func searchNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, op
 		allPaths = append(allPaths, path)
 		tree = append(tree, path...)
 	}
+	sc.tree, sc.paths = tree, allPaths
 	for _, c := range reblock {
 		g.Block(c)
 	}
@@ -518,7 +554,7 @@ func searchNet(ctx context.Context, g *geom.Grid, router Router, job *netJob, op
 			res.Length += seg.a.Manhattan(seg.b)
 			res.Segments = append(res.Segments, core.Feature{
 				Kind:       core.FeatureChannel,
-				ID:         fmt.Sprintf("%s_seg%d", job.conn.ID, segNum),
+				ID:         job.conn.ID + "_seg" + strconv.Itoa(segNum),
 				Name:       job.conn.Name,
 				Layer:      job.conn.Layer,
 				Connection: job.conn.ID,

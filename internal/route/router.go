@@ -74,12 +74,56 @@ func EngineByName(name string) (Router, error) {
 	return nil, fmt.Errorf("route: unknown router %q (lee, astar, hadlock)", name)
 }
 
-// passable reports whether the router may enter cell c while hunting for
-// target: blocked cells are closed except the target itself (targets are
-// ports sitting on component boundaries, whose cells are blocked by the
-// component footprint).
-func passable(g *geom.Grid, c, target geom.Cell) bool {
-	return c == target || !g.Blocked(c)
+// maze is the view of one search that the engines share: the grid's
+// padded occupancy and cost arrays, the four neighbor offsets, and the
+// target's padded index (-1 when the target lies outside the grid, so it
+// matches no cell). Blocked cells are closed except the target itself
+// (targets are ports sitting on component boundaries, whose cells are
+// blocked by the component footprint); the blocked ring around the grid
+// keeps every step in bounds.
+//
+// For the geometric engines it also holds the target's column and row
+// clamped to [-1, cols] and [-1, rows], which keeps every comparison
+// against a cell's column and row exact while the padded-index
+// thresholds below stay small: a cell is at or below the target row iff
+// its index is >= rowFrom, and at or above it iff its index is < rowTo.
+type maze struct {
+	blocked []bool
+	cost    []int32
+	off     [4]int32 // col+1, col-1, row+1, row-1: the expansion order
+	stride  int32
+	target  int32
+	tcol1   int32 // clamped target column + 1, comparable to i % stride
+	rowFrom int32
+	rowTo   int32
+}
+
+func newMaze(g *geom.Grid, target geom.Cell) maze {
+	blocked, cost := g.Occupancy()
+	stride := int32(g.Stride())
+	tcol := int32(min(max(target.Col, -1), g.Cols()))
+	trow := int32(min(max(target.Row, -1), g.Rows()))
+	return maze{
+		blocked: blocked,
+		cost:    cost,
+		off:     [4]int32{1, -1, stride, -stride},
+		stride:  stride,
+		target:  g.PaddedIndex(target),
+		tcol1:   tcol + 1,
+		rowFrom: (trow + 1) * stride,
+		rowTo:   (trow + 2) * stride,
+	}
+}
+
+// passable reports whether the search may enter padded index i.
+func (m *maze) passable(i int32) bool { return !m.blocked[i] || i == m.target }
+
+// away reports, for each of the four moves out of padded index i, whether
+// it raises the Manhattan distance to the target: a +col move does iff
+// col >= tcol, a -col move iff col <= tcol, and likewise for rows.
+func (m *maze) away(i int32) [4]bool {
+	c1 := i % m.stride
+	return [4]bool{c1 >= m.tcol1, c1 <= m.tcol1, i >= m.rowFrom, i < m.rowTo}
 }
 
 // Lee is the classic breadth-first maze router: uniform wavefront
@@ -93,22 +137,19 @@ func (Lee) Name() string { return "lee" }
 func (Lee) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) ([]geom.Cell, int, bool) {
 	a := acquireArena(g)
 	defer a.release()
+	m := newMaze(g, target)
 	so := newSearchObs(ctx, "lee")
 	pushes := 0
 	for _, s := range sources {
-		if !g.InBounds(s) {
-			continue
-		}
-		if i := a.index(s); !a.visited(i) {
-			a.visit(i)
-			a.parent[i] = -2
-			a.queue = append(a.queue, s)
+		if i := g.PaddedIndex(s); i >= 0 && !a.visited(i) {
+			a.label(i, -2, 0)
+			a.queue = append(a.queue, i)
 			pushes++
 		}
 	}
 	expansions := 0
 	for head := 0; head < len(a.queue); head++ {
-		cur := a.queue[head]
+		ci := a.queue[head]
 		if expansions%ExpansionBatch == 0 {
 			so.flush(expansions, pushes)
 			if ctx.Err() != nil {
@@ -116,20 +157,15 @@ func (Lee) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target
 			}
 		}
 		expansions++
-		if cur == target {
+		if ci == m.target {
 			so.flush(expansions, pushes)
-			return a.unwind(cur), expansions, true
+			return a.unwind(g, ci), expansions, true
 		}
-		ci := a.index(cur)
-		a.scratch = g.Neighbors4(a.scratch[:0], cur)
-		for _, nb := range a.scratch {
-			if !passable(g, nb, target) {
-				continue
-			}
-			if i := a.index(nb); !a.visited(i) {
-				a.visit(i)
-				a.parent[i] = ci
-				a.queue = append(a.queue, nb)
+		for _, o := range m.off {
+			ni := ci + o
+			if m.passable(ni) && !a.visited(ni) {
+				a.label(ni, ci, 0)
+				a.queue = append(a.queue, ni)
 				pushes++
 			}
 		}
@@ -138,16 +174,15 @@ func (Lee) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target
 	return nil, expansions, false
 }
 
-// pqItem is one frontier entry of the best-first engines.
-type pqItem struct {
-	cell geom.Cell
-	prio int64
-	g    int64 // cost so far
-	seq  int64 // FIFO tiebreak for determinism
-}
-
 // AStar is best-first search with the Manhattan-distance heuristic:
 // shortest paths like Lee, with far fewer expansions on open dies.
+//
+// The frontier is a monotone bucket queue (Dial's algorithm): FIFO
+// buckets indexed by prio - base, where prio = g + h and base is the
+// smallest h over the sources. Step costs are 1 + Cost >= 1 and the
+// Manhattan heuristic changes by exactly 1 per step, so no push lands
+// below the bucket being expanded, and popping the lowest bucket in FIFO
+// order is exactly the (prio, push order) order of a binary heap.
 type AStar struct{}
 
 // Name identifies the engine.
@@ -157,6 +192,7 @@ func (AStar) Name() string { return "astar" }
 func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) ([]geom.Cell, int, bool) {
 	a := acquireArena(g)
 	defer a.release()
+	m := newMaze(g, target)
 	h := func(c geom.Cell) int64 {
 		dx := int64(c.Col - target.Col)
 		if dx < 0 {
@@ -169,56 +205,64 @@ func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, targ
 		return dx + dy
 	}
 	so := newSearchObs(ctx, "astar")
-	// seq doubles as the frontier push count: it increments at every
-	// heapPush and nowhere else.
-	var seq int64
+	var base int64
+	first := true
 	for _, s := range sources {
-		if !g.InBounds(s) {
-			continue
+		if g.InBounds(s) && (first || h(s) < base) {
+			base, first = h(s), false
 		}
-		if i := a.index(s); !a.visited(i) {
-			a.visit(i)
-			a.dist[i] = 0
-			a.parent[i] = -2
-			a.heapPush(pqItem{cell: s, prio: h(s), g: 0, seq: seq})
-			seq++
+	}
+	pushes := 0
+	for _, s := range sources {
+		if i := g.PaddedIndex(s); i >= 0 && !a.visited(i) {
+			a.label(i, -2, 0)
+			a.bucketPush(int(h(s)-base), i, 0)
+			pushes++
 		}
 	}
 	expansions := 0
-	for a.heapLen() > 0 {
-		it := a.heapPop()
-		i := a.index(it.cell)
-		if it.g > a.dist[i] {
-			continue // stale entry
-		}
-		if expansions%ExpansionBatch == 0 {
-			so.flush(expansions, int(seq))
-			if ctx.Err() != nil {
-				return nil, expansions, false
+	for b := 0; b < len(a.head); b++ {
+		// Pushes into bucket b while it drains extend the list being
+		// walked, so the next link is read after the expansion.
+		for k := a.head[b]; k >= 0; k = a.items[k].next {
+			it := a.items[k]
+			ci := it.cell
+			if it.g > a.cells[ci].cost {
+				continue // stale entry
 			}
-		}
-		expansions++
-		if it.cell == target {
-			so.flush(expansions, int(seq))
-			return a.unwind(it.cell), expansions, true
-		}
-		a.scratch = g.Neighbors4(a.scratch[:0], it.cell)
-		for _, nb := range a.scratch {
-			if !passable(g, nb, target) {
-				continue
+			if expansions%ExpansionBatch == 0 {
+				so.flush(expansions, pushes)
+				if ctx.Err() != nil {
+					return nil, expansions, false
+				}
 			}
-			ni := a.index(nb)
-			ng := it.g + 1 + int64(g.Cost(nb))
-			if !a.visited(ni) || ng < a.dist[ni] {
-				a.visit(ni)
-				a.dist[ni] = ng
-				a.parent[ni] = i
-				a.heapPush(pqItem{cell: nb, prio: ng + h(nb), g: ng, seq: seq})
-				seq++
+			expansions++
+			if ci == m.target {
+				so.flush(expansions, pushes)
+				return a.unwind(g, ci), expansions, true
+			}
+			// h(cur) = prio - g; each move changes h by exactly one.
+			hcur := base + int64(b) - it.g
+			away := m.away(ci)
+			for k, o := range m.off {
+				ni := ci + o
+				if !m.passable(ni) {
+					continue
+				}
+				ng := it.g + 1 + int64(m.cost[ni])
+				if !a.visited(ni) || ng < a.cells[ni].cost {
+					a.label(ni, ci, ng)
+					hn := hcur - 1
+					if away[k] {
+						hn = hcur + 1
+					}
+					a.bucketPush(int(ng+hn-base), ni, ng)
+					pushes++
+				}
 			}
 		}
 	}
-	so.flush(expansions, int(seq))
+	so.flush(expansions, pushes)
 	return nil, expansions, false
 }
 
@@ -235,38 +279,22 @@ func (Hadlock) Name() string { return "hadlock" }
 func (Hadlock) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target geom.Cell) ([]geom.Cell, int, bool) {
 	a := acquireArena(g)
 	defer a.release()
-	manhattan := func(c geom.Cell) int {
-		dx := c.Col - target.Col
-		if dx < 0 {
-			dx = -dx
-		}
-		dy := c.Row - target.Row
-		if dy < 0 {
-			dy = -dy
-		}
-		return dx + dy
-	}
+	m := newMaze(g, target)
 	so := newSearchObs(ctx, "hadlock")
 	pushes := 0
 	// Level queues for 0-1 BFS over the detour count: toward-moves stay in
 	// the current level, away-moves wait in the next one.
 	for _, s := range sources {
-		if !g.InBounds(s) {
-			continue
-		}
-		if i := a.index(s); !a.visited(i) {
-			a.visit(i)
-			a.detour[i] = 0
-			a.parent[i] = -2
-			a.queue = append(a.queue, s)
+		if i := g.PaddedIndex(s); i >= 0 && !a.visited(i) {
+			a.label(i, -2, 0)
+			a.queue = append(a.queue, i)
 			pushes++
 		}
 	}
 	expansions := 0
 	for len(a.queue) > 0 {
 		for head := 0; head < len(a.queue); head++ {
-			cur := a.queue[head]
-			ci := a.index(cur)
+			ci := a.queue[head]
 			if expansions%ExpansionBatch == 0 {
 				so.flush(expansions, pushes)
 				if ctx.Err() != nil {
@@ -274,31 +302,27 @@ func (Hadlock) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, ta
 				}
 			}
 			expansions++
-			if cur == target {
+			if ci == m.target {
 				so.flush(expansions, pushes)
-				return a.unwind(cur), expansions, true
+				return a.unwind(g, ci), expansions, true
 			}
-			curDetour := a.detour[ci]
-			curDist := manhattan(cur)
-			a.scratch = g.Neighbors4(a.scratch[:0], cur)
-			for _, nb := range a.scratch {
-				if !passable(g, nb, target) {
+			curDetour := a.cells[ci].cost
+			away := m.away(ci)
+			for k, o := range m.off {
+				ni := ci + o
+				if !m.passable(ni) {
 					continue
 				}
-				ni := a.index(nb)
-				away := int32(0)
-				if manhattan(nb) > curDist {
-					away = 1
+				nd := curDetour
+				if away[k] {
+					nd++
 				}
-				nd := curDetour + away
-				if !a.visited(ni) || nd < a.detour[ni] {
-					a.visit(ni)
-					a.detour[ni] = nd
-					a.parent[ni] = ci
-					if away == 0 {
-						a.queue = append(a.queue, nb)
+				if !a.visited(ni) || nd < a.cells[ni].cost {
+					a.label(ni, ci, nd)
+					if away[k] {
+						a.next = append(a.next, ni)
 					} else {
-						a.next = append(a.next, nb)
+						a.queue = append(a.queue, ni)
 					}
 					pushes++
 				}

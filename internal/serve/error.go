@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/job"
 	"repro/internal/mint"
 	"repro/internal/obs"
@@ -89,7 +90,8 @@ type coded interface{ Code() string }
 // hierarchy does the classification: parse failures are the client's
 // fault (400), semantically invalid devices — and devices with nothing
 // for the requested output to hold (no layers for MINT, no features to
-// draw) — are unprocessable (422),
+// draw) or whose routing grid would exceed geom.MaxGridCells — are
+// unprocessable (422),
 // unknown benchmarks are absent resources (404), oversized bodies are 413,
 // shed admissions are 429, a job submission the journal could not record
 // is 503, and context expiry distinguishes server deadline (504) from
@@ -114,7 +116,7 @@ func httpStatus(err error) int {
 	case errors.Is(err, core.ErrParse), errors.Is(err, errBadRequest):
 		return http.StatusBadRequest
 	case errors.Is(err, validate.ErrInvalid), errors.Is(err, mint.ErrNoLayers),
-		errors.Is(err, render.ErrNoFeatures):
+		errors.Is(err, render.ErrNoFeatures), errors.Is(err, geom.ErrGridTooLarge):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
@@ -150,6 +152,8 @@ func errorCode(err error, status int) string {
 		return "no-layers"
 	case errors.Is(err, render.ErrNoFeatures):
 		return "no-features"
+	case errors.Is(err, geom.ErrGridTooLarge):
+		return "grid-too-large"
 	}
 	switch status {
 	case http.StatusBadRequest:

@@ -10,6 +10,9 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/bench"
+	"repro/internal/core"
 )
 
 // TestRetryAfterHeaderMatchesBody pins the contract between the two
@@ -145,6 +148,69 @@ func TestEmptyDeviceIsClientError(t *testing.T) {
 		}
 		if body.Code != tc.code {
 			t.Errorf("POST %s %s: code %q, want %q", tc.path, tc.body, body.Code, tc.code)
+		}
+	}
+}
+
+// hostileGridBodies are small request bodies whose routing grid would
+// exceed geom.MaxGridCells: a tiny utilization inflates the die of a
+// suite device, and one oversized component inflates it from inside the
+// device.
+func hostileGridBodies(t *testing.T) []string {
+	t.Helper()
+	b, err := bench.ByName("rotary_pcr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := b.Build()
+	d.Components[0].XSpan, d.Components[0].YSpan = 300000, 300000
+	dev, err := core.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []string{
+		`{"bench":"rotary_pcr","placer":"greedy","router":"hadlock","utilization":0.0001}`,
+		`{"device":` + string(dev) + `,"placer":"greedy","router":"hadlock"}`,
+	}
+}
+
+// TestOversizedGridIsRejected pins the bound on routing work: a body
+// whose grid would exceed geom.MaxGridCells answers 422 grid-too-large
+// before any placement starts — on /v1/pnr, on render's automatic
+// place-and-route, and as a job.
+func TestOversizedGridIsRejected(t *testing.T) {
+	h := newTestServer(2)
+	bodies := hostileGridBodies(t)
+	check := func(path, body string) {
+		t.Helper()
+		start := time.Now()
+		w := do(t, h, http.MethodPost, path, body)
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("POST %s: rejection took %v", path, elapsed)
+		}
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("POST %s: status %d, want 422: %s", path, w.Code, w.Body)
+		}
+		var eb errorBody
+		if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+			t.Fatal(err)
+		}
+		if eb.Code != "grid-too-large" {
+			t.Errorf("POST %s: code %q, want grid-too-large", path, eb.Code)
+		}
+	}
+	check("/v1/render.svg", bodies[1])
+	for i, body := range bodies {
+		check("/v1/pnr", body)
+
+		sub := do(t, h, http.MethodPost, "/v1/jobs", `{"op":"pnr",`+body[1:])
+		if sub.Code != http.StatusAccepted {
+			t.Fatalf("body %d: job submit status %d: %s", i, sub.Code, sub.Body)
+		}
+		doc := waitJob(t, h, decodeJobDoc(t, sub.Body.Bytes()).ID)
+		if doc.Status != "failed" || doc.Error == nil ||
+			doc.Error.Code != "grid-too-large" || doc.Error.HTTPStatus != http.StatusUnprocessableEntity {
+			t.Errorf("body %d: job ended %s with error %+v, want failed grid-too-large 422", i, doc.Status, doc.Error)
 		}
 	}
 }

@@ -113,9 +113,25 @@ func TestAlgorithmMetricsExposition(t *testing.T) {
 // the cancellation path: a request cancelled mid-place reports the partial
 // place duration once and nothing for the stages never reached.
 func TestCancelledRequestStageAccounting(t *testing.T) {
-	h := newTestServer(2)
+	s := New(Config{Workers: 2, BaseSeed: BaseSeedDefault})
+	h := s.Handler()
 	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(20*time.Millisecond, cancel)
+	// Cancel once the place stage is under way: a fixed timer can fire
+	// while the request is still being resolved or admitted, before any
+	// stage starts. The annealer's first move batch is the signal.
+	moves := s.reg.Counter("parchmint_anneal_moves_total", "")
+	finished := make(chan struct{})
+	defer close(finished)
+	go func() {
+		for moves.Value() == 0 {
+			select {
+			case <-finished:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+		cancel()
+	}()
 	r := httptest.NewRequest("POST", "/v1/pnr", strings.NewReader(`{"bench":"planar_synthetic_5"}`)).WithContext(ctx)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, r)

@@ -17,6 +17,7 @@ package validate
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -239,59 +240,102 @@ func (v *validator) checkLayers() {
 	}
 }
 
+// loc is a diagnostic path into the components or connections list,
+// formatted only when a diagnostic is reported: the element
+// ("components[3]", or "components[mixer1]" once its ID is known to be
+// unique), optionally followed by one member (".source") or one indexed
+// member (".ports[2]"). Building the strings for every element checked
+// cost more than the checks themselves.
+type loc struct {
+	coll   string // "components" or "connections"
+	id     string // the element's ID; "" selects idx
+	idx    int
+	field  string // member name; "" for the element itself
+	findex int    // index within the member; -1 when it is not a list
+}
+
+// member returns the path of l's member name, element i of it when
+// i >= 0.
+func (l loc) member(name string, i int) loc {
+	l.field, l.findex = name, i
+	return l
+}
+
+func (l loc) String() string {
+	b := make([]byte, 0, 64)
+	b = append(b, l.coll...)
+	b = append(b, '[')
+	if l.id != "" {
+		b = append(b, l.id...)
+	} else {
+		b = strconv.AppendInt(b, int64(l.idx), 10)
+	}
+	b = append(b, ']')
+	if l.field != "" {
+		b = append(b, '.')
+		b = append(b, l.field...)
+		if l.findex >= 0 {
+			b = append(b, '[')
+			b = strconv.AppendInt(b, int64(l.findex), 10)
+			b = append(b, ']')
+		}
+	}
+	return string(b)
+}
+
 func (v *validator) checkComponents() {
 	v.compIDs = make(map[string]int, len(v.device.Components))
 	for i := range v.device.Components {
 		c := &v.device.Components[i]
-		path := fmt.Sprintf("components[%d]", i)
+		at := loc{coll: "components", idx: i}
 		if c.ID == "" {
-			v.report.add(SevError, CodeEmptyName, path, "component has empty id")
+			v.report.add(SevError, CodeEmptyName, at.String(), "component has empty id")
 		} else if first, dup := v.compIDs[c.ID]; dup {
-			v.report.add(SevError, CodeDupID, path, "component id %q already used by components[%d]", c.ID, first)
+			v.report.add(SevError, CodeDupID, at.String(), "component id %q already used by components[%d]", c.ID, first)
 		} else {
 			v.compIDs[c.ID] = i
-			path = fmt.Sprintf("components[%s]", c.ID)
+			at.id = c.ID
 		}
 		if c.Entity == "" {
-			v.report.add(SevWarning, CodeUnknownEntity, path, "component has no entity")
+			v.report.add(SevWarning, CodeUnknownEntity, at.String(), "component has no entity")
 		} else if !core.IsKnownEntity(c.Entity) {
-			v.report.add(SevWarning, CodeUnknownEntity, path, "entity %q is outside the suite vocabulary", c.Entity)
+			v.report.add(SevWarning, CodeUnknownEntity, at.String(), "entity %q is outside the suite vocabulary", c.Entity)
 		}
 		if len(c.Layers) == 0 {
-			v.report.add(SevError, CodeNoLayers, path, "component occupies no layers")
+			v.report.add(SevError, CodeNoLayers, at.String(), "component occupies no layers")
 		}
 		compLayers := make(map[string]bool, len(c.Layers))
 		for j, lid := range c.Layers {
 			if _, ok := v.layerIDs[lid]; !ok {
-				v.report.add(SevError, CodeMissingRef, fmt.Sprintf("%s.layers[%d]", path, j),
+				v.report.add(SevError, CodeMissingRef, at.member("layers", j).String(),
 					"layer %q is not declared", lid)
 			}
 			compLayers[lid] = true
 		}
 		if c.XSpan <= 0 || c.YSpan <= 0 {
-			v.report.add(SevError, CodeBadGeometry, path,
+			v.report.add(SevError, CodeBadGeometry, at.String(),
 				"non-positive span %dx%d", c.XSpan, c.YSpan)
 		}
 		labels := make(map[string]int, len(c.Ports))
 		for j, p := range c.Ports {
-			ppath := fmt.Sprintf("%s.ports[%d]", path, j)
+			pat := at.member("ports", j)
 			if p.Label == "" {
-				v.report.add(SevError, CodeEmptyName, ppath, "port has empty label")
+				v.report.add(SevError, CodeEmptyName, pat.String(), "port has empty label")
 			} else if first, dup := labels[p.Label]; dup {
-				v.report.add(SevError, CodeDupPort, ppath,
+				v.report.add(SevError, CodeDupPort, pat.String(),
 					"port label %q already used by ports[%d]", p.Label, first)
 			} else {
 				labels[p.Label] = j
 			}
 			if _, ok := v.layerIDs[p.Layer]; !ok {
-				v.report.add(SevError, CodeMissingRef, ppath, "port layer %q is not declared", p.Layer)
+				v.report.add(SevError, CodeMissingRef, pat.String(), "port layer %q is not declared", p.Layer)
 			} else if !compLayers[p.Layer] {
-				v.report.add(SevError, CodeLayerMismatch, ppath,
+				v.report.add(SevError, CodeLayerMismatch, pat.String(),
 					"port layer %q is not among the component's layers", p.Layer)
 			}
 			if c.XSpan > 0 && c.YSpan > 0 {
 				if p.X < 0 || p.X > c.XSpan || p.Y < 0 || p.Y > c.YSpan {
-					v.report.add(SevError, CodeBadGeometry, ppath,
+					v.report.add(SevError, CodeBadGeometry, pat.String(),
 						"port at (%d,%d) lies outside the %dx%d footprint", p.X, p.Y, c.XSpan, c.YSpan)
 				}
 			}
@@ -303,39 +347,39 @@ func (v *validator) checkConnections() {
 	v.connIDs = make(map[string]int, len(v.device.Connections))
 	for i := range v.device.Connections {
 		cn := &v.device.Connections[i]
-		path := fmt.Sprintf("connections[%d]", i)
+		at := loc{coll: "connections", idx: i}
 		if cn.ID == "" {
-			v.report.add(SevError, CodeEmptyName, path, "connection has empty id")
+			v.report.add(SevError, CodeEmptyName, at.String(), "connection has empty id")
 		} else if first, dup := v.connIDs[cn.ID]; dup {
-			v.report.add(SevError, CodeDupID, path,
+			v.report.add(SevError, CodeDupID, at.String(),
 				"connection id %q already used by connections[%d]", cn.ID, first)
 		} else {
 			v.connIDs[cn.ID] = i
-			path = fmt.Sprintf("connections[%s]", cn.ID)
+			at.id = cn.ID
 		}
 		if _, ok := v.layerIDs[cn.Layer]; !ok {
-			v.report.add(SevError, CodeMissingRef, path, "connection layer %q is not declared", cn.Layer)
+			v.report.add(SevError, CodeMissingRef, at.String(), "connection layer %q is not declared", cn.Layer)
 		}
 		if len(cn.Sinks) == 0 {
-			v.report.add(SevError, CodeEmptyNet, path, "connection has no sinks")
+			v.report.add(SevError, CodeEmptyNet, at.String(), "connection has no sinks")
 		}
 		for pi := range cn.Paths {
-			v.checkPath(&cn.Paths[pi], fmt.Sprintf("%s.paths[%d]", path, pi))
+			v.checkPath(&cn.Paths[pi], at.member("paths", pi))
 		}
 		if len(cn.Paths) > len(cn.Sinks) {
-			v.report.add(SevWarning, CodeBadPath, path,
+			v.report.add(SevWarning, CodeBadPath, at.String(),
 				"%d paths for %d sinks", len(cn.Paths), len(cn.Sinks))
 		}
-		v.checkTarget(cn, cn.Source, path+".source")
+		v.checkTarget(cn, cn.Source, at.member("source", -1))
 		seen := make(map[core.Target]int, len(cn.Sinks))
 		for j, s := range cn.Sinks {
-			spath := fmt.Sprintf("%s.sinks[%d]", path, j)
-			v.checkTarget(cn, s, spath)
+			sat := at.member("sinks", j)
+			v.checkTarget(cn, s, sat)
 			if s == cn.Source {
-				v.report.add(SevWarning, CodeSelfLoop, spath, "sink equals the source %s", s)
+				v.report.add(SevWarning, CodeSelfLoop, sat.String(), "sink equals the source %s", s)
 			}
 			if first, dup := seen[s]; dup {
-				v.report.add(SevWarning, CodeDupSink, spath, "sink %s already listed at sinks[%d]", s, first)
+				v.report.add(SevWarning, CodeDupSink, sat.String(), "sink %s already listed at sinks[%d]", s, first)
 			} else {
 				seen[s] = j
 			}
@@ -345,12 +389,12 @@ func (v *validator) checkConnections() {
 
 // checkPath warns about v1.2 path legs that are not axis-aligned
 // (continuous-flow channels are rectilinear by fabrication).
-func (v *validator) checkPath(p *core.ChannelPath, path string) {
+func (v *validator) checkPath(p *core.ChannelPath, at loc) {
 	pts := p.Points()
 	for i := 1; i < len(pts); i++ {
 		a, b := pts[i-1], pts[i]
 		if a.X != b.X && a.Y != b.Y {
-			v.report.add(SevWarning, CodeBadPath, path,
+			v.report.add(SevWarning, CodeBadPath, at.String(),
 				"leg %v -> %v is not axis-aligned", a, b)
 			return
 		}
@@ -358,26 +402,26 @@ func (v *validator) checkPath(p *core.ChannelPath, path string) {
 }
 
 // checkTarget validates one endpoint of a connection.
-func (v *validator) checkTarget(cn *core.Connection, t core.Target, path string) {
+func (v *validator) checkTarget(cn *core.Connection, t core.Target, at loc) {
 	ci, ok := v.compIDs[t.Component]
 	if !ok {
-		v.report.add(SevError, CodeMissingRef, path, "component %q does not exist", t.Component)
+		v.report.add(SevError, CodeMissingRef, at.String(), "component %q does not exist", t.Component)
 		return
 	}
 	c := &v.device.Components[ci]
 	if t.Port == "" {
-		v.report.add(SevWarning, CodeAnyPort, path,
+		v.report.add(SevWarning, CodeAnyPort, at.String(),
 			"endpoint on %q does not name a port", t.Component)
 		return
 	}
 	p, ok := c.PortByLabel(t.Port)
 	if !ok {
-		v.report.add(SevError, CodeMissingRef, path,
+		v.report.add(SevError, CodeMissingRef, at.String(),
 			"component %q has no port %q", t.Component, t.Port)
 		return
 	}
 	if p.Layer != cn.Layer {
-		v.report.add(SevError, CodeLayerMismatch, path,
+		v.report.add(SevError, CodeLayerMismatch, at.String(),
 			"port %s is on layer %q but the connection is on layer %q", t, p.Layer, cn.Layer)
 	}
 }

@@ -478,3 +478,27 @@ func TestRuleBadPath(t *testing.T) {
 	}
 	expectCode(t, d, CodeBadPath, SevWarning)
 }
+
+// TestLocRendersDiagnosticPaths pins the lazily formatted paths to the
+// strings diagnostics have always carried.
+func TestLocRendersDiagnosticPaths(t *testing.T) {
+	byIndex := loc{coll: "components", idx: 3}
+	byID := loc{coll: "connections", id: "c1", idx: 7}
+	cases := []struct {
+		got  loc
+		want string
+	}{
+		{byIndex, "components[3]"},
+		{byIndex.member("ports", 0), "components[3].ports[0]"},
+		{byIndex.member("layers", 12), "components[3].layers[12]"},
+		{byID, "connections[c1]"},
+		{byID.member("source", -1), "connections[c1].source"},
+		{byID.member("sinks", 2), "connections[c1].sinks[2]"},
+		{byID.member("paths", 1), "connections[c1].paths[1]"},
+	}
+	for _, tc := range cases {
+		if got := tc.got.String(); got != tc.want {
+			t.Errorf("loc %+v renders %q, want %q", tc.got, got, tc.want)
+		}
+	}
+}
