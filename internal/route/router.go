@@ -10,6 +10,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -205,11 +206,10 @@ func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, targ
 		return dx + dy
 	}
 	so := newSearchObs(ctx, "astar")
-	var base int64
-	first := true
+	base := int64(math.MaxInt64)
 	for _, s := range sources {
-		if g.InBounds(s) && (first || h(s) < base) {
-			base, first = h(s), false
+		if g.InBounds(s) {
+			base = min(base, h(s))
 		}
 	}
 	pushes := 0
