@@ -265,12 +265,9 @@ func (g *Grid) FreeCells() int {
 	return n
 }
 
-// Clone returns a deep copy of the grid, including occupancy and cost.
-func (g *Grid) Clone() *Grid { return g.CloneInto(nil) }
-
-// CloneInto copies g into dst and returns it, reusing dst's storage when
-// it holds a grid of the same shape; otherwise (or when dst is nil) it
-// returns a freshly allocated copy.
+// CloneInto returns a deep copy of g, including occupancy and cost. It
+// copies into dst and returns it when dst holds a grid of the same shape,
+// reusing its storage; otherwise (or when dst is nil) it allocates.
 func (g *Grid) CloneInto(dst *Grid) *Grid {
 	if dst == nil || len(dst.blocked) != len(g.blocked) {
 		dst = &Grid{

@@ -216,7 +216,7 @@ func TestGridClone(t *testing.T) {
 	g := mustGrid(t, R(0, 0, 40, 40), 10)
 	g.Block(Cell{1, 1})
 	g.AddCost(Cell{2, 2}, 3)
-	c := g.Clone()
+	c := g.CloneInto(nil)
 	if !c.Blocked(Cell{1, 1}) || c.Cost(Cell{2, 2}) != 3 {
 		t.Error("clone did not copy state")
 	}
