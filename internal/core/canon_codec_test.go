@@ -3,7 +3,10 @@
 // cache keys, journal entries, and response bodies from these bytes, so
 // the property under test is strict: the fast decoder accepts exactly
 // what the reflect decoder accepts, produces the same device, and the
-// canonical encoder emits byte-for-byte what json.Marshal emits.
+// canonical encoder emits byte-for-byte what json.Marshal emits (and
+// core.Marshal what json.MarshalIndent emits, plus a newline). The
+// encoding/json side of each comparison is the reference codec in
+// jsonref_test.go.
 package core_test
 
 import (
@@ -17,6 +20,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/pnr"
 )
 
 // edgeDevices exercises encoder paths the bench corpus misses: empty and
@@ -100,11 +104,46 @@ func corpusDevices() map[string]*core.Device {
 	return out
 }
 
+// pnrDevices returns the default place-and-route output of every suite
+// device: features of both kinds, v1.2 paths and valve maps. -short keeps
+// the seven assay devices and skips the synthetic ones.
+func pnrDevices(t *testing.T) map[string]*core.Device {
+	t.Helper()
+	out := make(map[string]*core.Device)
+	for _, b := range bench.Suite() {
+		if testing.Short() && b.Class == bench.Synthetic {
+			continue
+		}
+		res, err := pnr.Run(b.Device(), pnr.NewOptions())
+		if err != nil {
+			t.Fatalf("%s: pnr: %v", b.Name, err)
+		}
+		out["pnr/"+b.Name] = res.Device
+	}
+	return out
+}
+
+// marshalStd is the reference rendering of core.Marshal: encoding/json's
+// indented encoding plus a trailing newline.
+func marshalStd(d *core.Device) ([]byte, error) {
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
 // TestMarshalCanonicalMatchesStd pins the determinism contract: the
 // hand-rolled compact encoder emits exactly json.Marshal's bytes, so
-// cache keys and journal entries survive the codec swap unchanged.
+// cache keys and journal entries survive the codec swap unchanged, and
+// core.Marshal emits exactly json.MarshalIndent's bytes plus a newline,
+// so files the CLIs write match what they wrote under encoding/json.
 func TestMarshalCanonicalMatchesStd(t *testing.T) {
-	for name, d := range corpusDevices() {
+	devices := corpusDevices()
+	for name, d := range pnrDevices(t) {
+		devices[name] = d
+	}
+	for name, d := range devices {
 		want, err := json.Marshal(d)
 		if err != nil {
 			t.Fatalf("%s: json.Marshal: %v", name, err)
@@ -116,11 +155,23 @@ func TestMarshalCanonicalMatchesStd(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: canonical bytes diverge from encoding/json\n got: %s\nwant: %s", name, got, want)
 		}
+		want, err = marshalStd(d)
+		if err != nil {
+			t.Fatalf("%s: json.MarshalIndent: %v", name, err)
+		}
+		got, err = core.Marshal(d)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: Marshal bytes diverge from encoding/json\n got: %s\nwant: %s", name, got, want)
+		}
 	}
 }
 
 // TestMarshalCanonicalErrors pins error parity with json.Marshal on the
-// two failure classes the encoder can hit.
+// two failure classes the encoder can hit, for both the compact and the
+// indented encoding.
 func TestMarshalCanonicalErrors(t *testing.T) {
 	for name, d := range map[string]*core.Device{
 		"nan-param":    {Name: "d", Params: core.Params{"bad": math.NaN()}},
@@ -132,6 +183,12 @@ func TestMarshalCanonicalErrors(t *testing.T) {
 		}
 		if _, err := core.MarshalCanonical(d); err == nil {
 			t.Errorf("%s: MarshalCanonical accepted what json.Marshal rejects", name)
+		}
+		_, err := core.Marshal(d)
+		if err == nil {
+			t.Errorf("%s: Marshal accepted what json.Marshal rejects", name)
+		} else if want := `core: encoding device "d": `; !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: Marshal error %q lacks prefix %q", name, err, want)
 		}
 	}
 }
@@ -231,7 +288,7 @@ func decoderInputs() []string {
 }
 
 // checkDecodeParity runs both decoders on one input and enforces the
-// differential contract. It returns the fast-path device when accepted.
+// differential contract, for the compact and the indented re-encoding.
 func checkDecodeParity(t *testing.T, data []byte) {
 	t.Helper()
 	fast, fastErr := core.UnmarshalFast(data)
@@ -252,6 +309,14 @@ func checkDecodeParity(t *testing.T, data []byte) {
 	}
 	if !bytes.Equal(fastC, stdC) {
 		t.Fatalf("canonical bytes diverge on %q\nfast: %s\nstd:  %s", data, fastC, stdC)
+	}
+	fastI, err1 := core.Marshal(fast)
+	stdI, err2 := marshalStd(std)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("indented re-encode failed on %q: fast=%v std=%v", data, err1, err2)
+	}
+	if !bytes.Equal(fastI, stdI) {
+		t.Fatalf("indented bytes diverge on %q\nfast: %s\nstd:  %s", data, fastI, stdI)
 	}
 }
 

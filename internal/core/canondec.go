@@ -16,14 +16,14 @@ import (
 // Allocation-lean JSON parser: a hand-rolled tokenizer plus a device
 // decoder that together replace the encoding/json reflection path on the
 // serving tier. The contract is accept/reject and value parity with the
-// json.Decoder path this package used before (decodeStd keeps that path
-// alive as the differential-test reference): the same bodies parse, the
-// same bodies fail, and accepted bodies produce devices whose canonical
-// encoding is byte-identical. That includes the obscure corners —
-// case-folded field names (unicode.SimpleFold classes, so U+212A KELVIN
-// matches "k"), duplicate keys merging into slices and maps the way
-// reflect-driven decoding does, null semantics per target kind, surrogate
-// pair repair, and the 10000-level nesting limit.
+// json.Decoder path this package used before (decodeStd, in the package's
+// test files, keeps that path as the differential-test reference): the
+// same bodies parse, the same bodies fail, and accepted bodies produce
+// devices whose canonical encoding is byte-identical. That includes the
+// obscure corners — case-folded field names (unicode.SimpleFold classes,
+// so U+212A KELVIN matches "k"), duplicate keys merging into slices and
+// maps the way reflect-driven decoding does, null semantics per target
+// kind, surrogate pair repair, and the 10000-level nesting limit.
 //
 // Strings are interned per parser (parsers are pooled), so the component
 // and connection IDs that repeat across a device — and across requests —
@@ -1173,7 +1173,8 @@ func (p *Parser) parseXYInto(x, y *int64) error {
 }
 
 // parsePathElem rebuilds a ChannelPath from a fresh wire value — the
-// element has an UnmarshalJSON, so encoding/json never merges into it.
+// reference codec's element has an UnmarshalJSON, so encoding/json never
+// merges into it.
 func (p *Parser) parsePathElem(cp *ChannelPath) error {
 	if p.TryNull() {
 		*cp = ChannelPath{}
@@ -1259,8 +1260,8 @@ func (p *Parser) parseWayPoint(pt *geom.Point) error {
 }
 
 // parseFeatureElem rebuilds a Feature from a fresh wire value (the
-// element has an UnmarshalJSON) and resolves the tagged union exactly as
-// Feature.UnmarshalJSON does.
+// reference codec's element has an UnmarshalJSON) and resolves the tagged
+// union exactly as that reference Feature.UnmarshalJSON does.
 func (p *Parser) parseFeatureElem(f *Feature) error {
 	if p.TryNull() {
 		*f = Feature{Kind: FeatureComponent}

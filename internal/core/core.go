@@ -10,9 +10,10 @@
 // geometry and routed channel segments — produced by a place-and-route flow.
 //
 // The package provides the in-memory model, exact JSON v1
-// serialization (see json.go), a fluent construction API (see builder.go),
-// indexes and deep-copy/equality utilities (see lookup.go), and canonical
-// ordering for deterministic interchange (see canon.go).
+// serialization (see json.go, canonenc.go and canondec.go), a fluent
+// construction API (see builder.go), indexes and deep-copy/equality
+// utilities (see lookup.go), and canonical ordering for deterministic
+// interchange (see canon.go).
 package core
 
 import (
@@ -164,7 +165,7 @@ func (k FeatureKind) String() string {
 
 // Feature carries physical geometry for either a placed component or one
 // routed channel segment. Which fields are meaningful depends on Kind;
-// the JSON encoding is a tagged union (see json.go).
+// the JSON encoding is a tagged union (see canonenc.go).
 type Feature struct {
 	Kind FeatureKind
 	// ID uniquely identifies the feature. For component features the suite

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/geom"
@@ -77,41 +76,6 @@ func (d *Device) UsesV12() bool {
 		}
 	}
 	return false
-}
-
-// wirePath is the JSON v1.2 shape of one connection path.
-type wirePath struct {
-	Source    wirePoint  `json:"source"`
-	Sink      wirePoint  `json:"sink"`
-	Waypoints [][2]int64 `json:"wayPoints,omitempty"`
-}
-
-// MarshalJSON encodes the path in v1.2 wire shape.
-func (p ChannelPath) MarshalJSON() ([]byte, error) {
-	w := wirePath{
-		Source: wirePoint{p.Source.X, p.Source.Y},
-		Sink:   wirePoint{p.Sink.X, p.Sink.Y},
-	}
-	for _, pt := range p.Waypoints {
-		w.Waypoints = append(w.Waypoints, [2]int64{pt.X, pt.Y})
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes the v1.2 wire shape.
-func (p *ChannelPath) UnmarshalJSON(data []byte) error {
-	var w wirePath
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*p = ChannelPath{
-		Source: geom.Pt(w.Source.X, w.Source.Y),
-		Sink:   geom.Pt(w.Sink.X, w.Sink.Y),
-	}
-	for _, pt := range w.Waypoints {
-		p.Waypoints = append(p.Waypoints, geom.Pt(pt[0], pt[1]))
-	}
-	return nil
 }
 
 // PathsFromFeatures derives v1.2 connection paths from routed channel

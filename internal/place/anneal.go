@@ -20,7 +20,7 @@ type Annealer struct{}
 // Name identifies the engine.
 func (Annealer) Name() string { return "anneal" }
 
-// Default annealing parameters; Options may override each.
+// Annealing parameters; Options.CoolingRate overrides defaultCoolingRate.
 const (
 	defaultCoolingRate   = 0.95
 	defaultInitialAccept = 0.8
@@ -109,21 +109,13 @@ func (Annealer) Place(ctx context.Context, d *core.Device, opts Options) (*Place
 	if cooling <= 0 || cooling >= 1 {
 		cooling = defaultCoolingRate
 	}
-	movesPerTemp := opts.MovesPerTemp
-	if movesPerTemp <= 0 {
-		n := len(d.Components)
-		movesPerTemp = 10 * n
-	}
-	initialAccept := opts.InitialAccept
-	if initialAccept <= 0 || initialAccept >= 1 {
-		initialAccept = defaultInitialAccept
-	}
+	movesPerTemp := 10 * len(d.Components)
 	if opts.replicas() > 1 {
-		return annealParallel(ctx, d, start, opts, cooling, movesPerTemp, initialAccept)
+		return annealParallel(ctx, d, start, opts, cooling, movesPerTemp)
 	}
 
 	st := newAnnealState(d, start, opts.Seed)
-	temp := st.calibrateTemperature(initialAccept)
+	temp := st.calibrateTemperature(defaultInitialAccept)
 	// Displacement window shrinks adaptively (VPR-style): target ~44%%
 	// acceptance by narrowing proposals as the schedule cools.
 	st.window = die.Dx()

@@ -41,7 +41,7 @@ func replicaSeed(seed uint64, i int) uint64 {
 
 // annealParallel runs the multi-replica schedule. The caller resolved the
 // knobs and handles the trivial cases; len(d.Components) >= 2 here.
-func annealParallel(ctx context.Context, d *core.Device, start *Placement, opts Options, cooling float64, movesPerTemp int, initialAccept float64) (*Placement, error) {
+func annealParallel(ctx context.Context, d *core.Device, start *Placement, opts Options, cooling float64, movesPerTemp int) (*Placement, error) {
 	n := opts.replicas()
 	states := make([]*annealState, n)
 	for i := range states {
@@ -73,7 +73,7 @@ func annealParallel(ctx context.Context, d *core.Device, start *Placement, opts 
 	calib := make([]float64, n)
 	par.ForEach(workers, n, func(i int) {
 		st := states[i]
-		calib[i] = st.calibrateTemperature(initialAccept)
+		calib[i] = st.calibrateTemperature(defaultInitialAccept)
 		st.window = st.die.Dx()
 		st.bestCost = st.cost
 		st.syncBest()

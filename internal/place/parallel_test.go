@@ -149,7 +149,7 @@ func TestReplicasKeepMoveBudget(t *testing.T) {
 	if par4.Moves <= 0 {
 		t.Fatalf("replica schedule reports %d moves", par4.Moves)
 	}
-	movesPerTemp := 10 * len(d.Components) // default MovesPerTemp resolution
+	movesPerTemp := 10 * len(d.Components) // the annealer's moves per level
 	if par4.Moves%movesPerTemp != 0 {
 		t.Errorf("replica schedule moves %d not a whole number of levels (movesPerTemp %d)",
 			par4.Moves, movesPerTemp)

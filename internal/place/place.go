@@ -72,10 +72,9 @@ type Options struct {
 	// Utilization is the fraction of die area the components should fill
 	// (0 < u <= 1). Zero means the default 0.35.
 	Utilization float64
-	// SA parameters; zero values take defaults (see anneal.go).
-	CoolingRate   float64
-	MovesPerTemp  int
-	InitialAccept float64
+	// CoolingRate is the annealer's geometric cooling rate (0 < r < 1);
+	// zero takes the default (see anneal.go).
+	CoolingRate float64
 	// Replicas selects multi-replica parallel tempering for the annealer:
 	// N replicas share each temperature level's move budget and exchange
 	// states deterministically at level boundaries (see parallel.go).
@@ -113,11 +112,7 @@ type Option func(*Options)
 // positional struct literals: unset knobs keep their default semantics
 // and new knobs never break existing constructors.
 func NewOptions(opts ...Option) Options {
-	o := Options{
-		Utilization:   0.35,
-		CoolingRate:   defaultCoolingRate,
-		InitialAccept: defaultInitialAccept,
-	}
+	var o Options
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -129,15 +124,6 @@ func WithSeed(seed uint64) Option { return func(o *Options) { o.Seed = seed } }
 
 // WithUtilization sets the die utilization fraction (0 < u <= 1).
 func WithUtilization(u float64) Option { return func(o *Options) { o.Utilization = u } }
-
-// WithCoolingRate sets the annealer's geometric cooling rate (0 < r < 1).
-func WithCoolingRate(r float64) Option { return func(o *Options) { o.CoolingRate = r } }
-
-// WithMovesPerTemp sets the annealer's moves per temperature level.
-func WithMovesPerTemp(n int) Option { return func(o *Options) { o.MovesPerTemp = n } }
-
-// WithInitialAccept sets the annealer's target initial acceptance rate.
-func WithInitialAccept(a float64) Option { return func(o *Options) { o.InitialAccept = a } }
 
 // WithReplicas sets the annealer's parallel-tempering replica count
 // (<= 1 selects the classic single-replica schedule).

@@ -35,12 +35,6 @@ type Options struct {
 	// Place and Route tune the respective stages.
 	Place place.Options
 	Route route.Options
-	// SkipPaths suppresses the ParchMint v1.2 connection paths normally
-	// derived from the routed segments.
-	SkipPaths bool
-	// SkipValveMap suppresses the ParchMint v1.2 valve map normally
-	// synthesized for the device's valves and pumps.
-	SkipValveMap bool
 	// Observe, when non-nil, receives each stage's wall-clock duration as
 	// the stage completes (stage names: StagePlace, StageRoute,
 	// StageAttach). A stage aborted by an error or cancellation reports
@@ -61,7 +55,7 @@ type Option func(*Options)
 // experiment harness all describe a flow the same way, and new knobs
 // never break existing constructors.
 func NewOptions(opts ...Option) Options {
-	o := Options{Place: place.NewOptions()}
+	var o Options
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -89,18 +83,6 @@ func WithOrdering(ord route.Order) Option { return func(o *Options) { o.Route.Or
 // placement than one — but for a fixed N the artifact is byte-identical
 // at any worker count or CPU budget.
 func WithReplicas(n int) Option { return func(o *Options) { o.Place.Replicas = n } }
-
-// WithPlaceOptions replaces the whole placement option block.
-func WithPlaceOptions(po place.Options) Option { return func(o *Options) { o.Place = po } }
-
-// WithRouteOptions replaces the whole routing option block.
-func WithRouteOptions(ro route.Options) Option { return func(o *Options) { o.Route = ro } }
-
-// WithSkipPaths suppresses the v1.2 connection paths.
-func WithSkipPaths(skip bool) Option { return func(o *Options) { o.SkipPaths = skip } }
-
-// WithSkipValveMap suppresses the v1.2 valve map.
-func WithSkipValveMap(skip bool) Option { return func(o *Options) { o.SkipValveMap = skip } }
 
 // WithObserver installs a stage-duration hook.
 func WithObserver(fn func(stage string, d time.Duration)) Option {
@@ -188,12 +170,8 @@ func RunContext(ctx context.Context, d *core.Device, opts Options) (*Result, err
 	_, sa := obs.Start(ctx, "pnr.attach")
 	out := d.Clone()
 	out.Features = append(place.ToFeatures(p), report.Features()...)
-	if !opts.SkipPaths {
-		out.AttachPaths()
-	}
-	if !opts.SkipValveMap {
-		attachValveMap(out)
-	}
+	out.AttachPaths()
+	attachValveMap(out)
 	sa.End()
 	opts.observe(StageAttach, start)
 	return &Result{

@@ -123,20 +123,53 @@ func TestSearchBlockedTargetIsEnterable(t *testing.T) {
 }
 
 func TestSearchMultiSource(t *testing.T) {
-	for _, r := range Engines() {
-		g := openGrid(t)
-		sources := []geom.Cell{{Col: 0, Row: 0}, {Col: 18, Row: 18}}
-		dst := geom.Cell{Col: 19, Row: 19}
-		path, _, ok := r.Search(context.Background(), g, sources, dst)
-		if !ok {
-			t.Fatalf("%s: multi-source search failed", r.Name())
-		}
-		// Must root at the nearer source.
-		if path[0] != sources[1] {
-			t.Errorf("%s: path rooted at %v, want %v", r.Name(), path[0], sources[1])
-		}
-		if len(path) != 3 {
-			t.Errorf("%s: path = %d cells, want 3", r.Name(), len(path))
+	cases := []struct {
+		name    string
+		blocked []geom.Cell
+		sources []geom.Cell
+		target  geom.Cell
+		// root is the source the path must start from, per engine.
+		root map[string]geom.Cell
+		// cells is the path length in cells, per engine.
+		cells map[string]int
+	}{
+		{
+			// Every engine roots at the nearer source.
+			name:    "nearer-source",
+			sources: []geom.Cell{{Col: 0, Row: 0}, {Col: 18, Row: 18}},
+			target:  geom.Cell{Col: 19, Row: 19},
+			root:    map[string]geom.Cell{"lee": {Col: 18, Row: 18}, "astar": {Col: 18, Row: 18}, "hadlock": {Col: 18, Row: 18}},
+			cells:   map[string]int{"lee": 3, "astar": 3, "hadlock": 3},
+		},
+		{
+			// Hadlock minimizes detours relative to the source a path
+			// leaves, not length: from c0r10 the target is ten toward-moves
+			// away with no detour, while from c10r12 the blocked c10r11
+			// forces one. Lee and A* take the 5-cell path around the block.
+			name:    "hadlock-detours-not-length",
+			blocked: []geom.Cell{{Col: 10, Row: 11}},
+			sources: []geom.Cell{{Col: 0, Row: 10}, {Col: 10, Row: 12}},
+			target:  geom.Cell{Col: 10, Row: 10},
+			root:    map[string]geom.Cell{"lee": {Col: 10, Row: 12}, "astar": {Col: 10, Row: 12}, "hadlock": {Col: 0, Row: 10}},
+			cells:   map[string]int{"lee": 5, "astar": 5, "hadlock": 11},
+		},
+	}
+	for _, tc := range cases {
+		for _, r := range Engines() {
+			g := openGrid(t)
+			for _, c := range tc.blocked {
+				g.Block(c)
+			}
+			path, _, ok := r.Search(context.Background(), g, tc.sources, tc.target)
+			if !ok {
+				t.Fatalf("%s/%s: multi-source search failed", tc.name, r.Name())
+			}
+			if want := tc.root[r.Name()]; path[0] != want {
+				t.Errorf("%s/%s: path rooted at %v, want %v", tc.name, r.Name(), path[0], want)
+			}
+			if want := tc.cells[r.Name()]; len(path) != want {
+				t.Errorf("%s/%s: path = %d cells, want %d", tc.name, r.Name(), len(path), want)
+			}
 		}
 	}
 }

@@ -247,9 +247,14 @@ func (AStar) Search(ctx context.Context, g *geom.Grid, sources []geom.Cell, targ
 }
 
 // Hadlock is detour-count best-first search: priority is the number of
-// moves made away from the target. It expands fewer cells than Lee while
-// still guaranteeing shortest paths on uniform grids; implemented as 0-1
-// BFS over the detour metric.
+// moves made away from the target, implemented as 0-1 BFS over the detour
+// metric; cell costs do not enter it. It expands fewer cells than Lee.
+// With one source its path has the fewest cells, since a path's length is
+// the source's Manhattan distance plus twice its detours. With several
+// sources (every sink after the first of a multi-terminal net searches
+// from the whole route tree) it minimizes detours relative to the source
+// a path leaves, which is not length: a far source with a straight run
+// beats a near one whose run needs a detour (see TestSearchMultiSource).
 type Hadlock struct{}
 
 // Name identifies the engine.

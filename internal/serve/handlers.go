@@ -136,18 +136,6 @@ func resolve(ctx context.Context, req *request) (*cli.Result, []byte, error) {
 	}
 }
 
-// jsonEntry materializes v exactly as writeJSON's default rendering —
-// compact with a trailing newline — so cached replays are byte-identical
-// to direct responses. The hot operations skip it for the hand encoders
-// in respenc.go; it remains the generic fallback.
-func jsonEntry(v any) (cache.Entry, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return cache.Entry{}, fmt.Errorf("serve: encoding response: %w", err)
-	}
-	return cache.Entry{ContentType: "application/json", Body: append(data, '\n')}, nil
-}
-
 // serveOp adapts one pipeline operation into an apiHandler: decode the
 // envelope, validate it against the shared operation table, run the
 // operation through the result cache, and replay the materialized entry
