@@ -79,7 +79,8 @@ bench-serve:
 	$(GO) run ./cmd/parchmint-perf -suite serve -o BENCH_serve.json
 
 # Determinism hammer under the race detector: full-width replicas and a
-# starved CPU budget must reproduce the sequential golden byte for byte. -short trims the matrix to the small
+# two-P run (GOMAXPROCS=2) must reproduce the GOMAXPROCS=1 sequential
+# golden byte for byte. -short trims the matrix to the small
 # devices so the race scheduler stays affordable in the commit gate;
 # hammer-full sweeps every bench device at replicas {1,2,4,8}.
 hammer:

@@ -2,9 +2,9 @@
 // committed results/*.txt are the pinned evaluation of the paper
 // reproduction, so any drift in an algorithm, a generator, or a renderer
 // fails here instead of silently rotting. The same run also checks the
-// parallel execution engine: AllParallel must produce byte-identical
-// artifacts to the sequential path, in the same order, while building
-// each benchmark device exactly once per process.
+// parallel execution engine: All at 8 workers must produce byte-identical
+// artifacts to All at one, in the same order, while building each
+// benchmark device exactly once per process.
 package repro_test
 
 import (
@@ -23,14 +23,14 @@ func TestGoldenArtifactsAndParallelDeterminism(t *testing.T) {
 	bench.ResetBuildCache()
 	defer bench.ResetBuildCache()
 
-	seq := experiments.All()
+	seq := experiments.All(1)
 	// The exactly-once build property of a full sequential regeneration.
 	for _, name := range bench.Names() {
 		if n := bench.BuildCount(name); n != 1 {
-			t.Errorf("%s: generator ran %d times during All(), want 1", name, n)
+			t.Errorf("%s: generator ran %d times during All(1), want 1", name, n)
 		}
 	}
-	par := experiments.AllParallel(8)
+	par := experiments.All(8)
 
 	ids := experiments.IDs()
 	if len(seq) != len(ids) || len(par) != len(ids) {

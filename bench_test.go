@@ -62,7 +62,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates the validator fault-injection coverage table.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if tb := experiments.Table3(); len(tb.Rows) != 8 {
+		if tb := experiments.Table3(1); len(tb.Rows) != 8 {
 			b.Fatalf("rows = %d", len(tb.Rows))
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkFig3(b *testing.B) {
 	s := subset(pnrSubset...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, _ := experiments.Fig3On(s)
+		f, _ := experiments.Fig3On(s, 1)
 		if len(f.Series) != 3 {
 			b.Fatalf("series = %d", len(f.Series))
 		}
@@ -96,7 +96,7 @@ func BenchmarkFig4(b *testing.B) {
 	s := subset(pnrSubset...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tb := experiments.Fig4On(s); len(tb.Rows) != len(s)*3 {
+		if tb := experiments.Fig4On(s, 1); len(tb.Rows) != len(s)*3 {
 			b.Fatalf("rows = %d", len(tb.Rows))
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5 regenerates the runtime-scaling figure.
 func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if f := experiments.Fig5(); len(f.Series) != 4 {
+		if f := experiments.Fig5(1); len(f.Series) != 4 {
 			b.Fatalf("series = %d", len(f.Series))
 		}
 	}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // timingID is the wall-clock stage-profiling pseudo-experiment.
@@ -53,7 +52,6 @@ func main() {
 	if *jobs < 1 {
 		*jobs = runtime.NumCPU()
 	}
-	par.SetParallelism(*jobs)
 	ctx, flushTrace := cli.TraceContext(context.Background(), *traceOut)
 
 	switch {
@@ -64,12 +62,7 @@ func main() {
 		fmt.Printf("%-14s%s\n", timingID, `pipeline stage wall-time profile (pseudo-experiment, not in "all")`)
 	case *exp == "all":
 		_, sp := obs.Start(ctx, "exp.all")
-		var arts []experiments.Artifact
-		if *jobs > 1 {
-			arts = experiments.AllParallel(*jobs)
-		} else {
-			arts = experiments.All()
-		}
+		arts := experiments.All(*jobs)
 		sp.End()
 		for _, a := range arts {
 			if err := emit(a, *outdir); err != nil {
@@ -83,7 +76,7 @@ func main() {
 		}
 	case *exp != "":
 		_, sp := obs.Start(ctx, "exp."+*exp)
-		text, err := experiments.Run(*exp)
+		text, err := experiments.Run(*exp, *jobs)
 		sp.End()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parchmint-bench: %v\n", err)

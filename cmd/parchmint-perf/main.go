@@ -36,7 +36,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/place"
 	"repro/internal/pnr"
 	"repro/internal/route"
@@ -277,8 +276,8 @@ func searchGrid() *geom.Grid {
 }
 
 // pairSuffixSeq/Par name the paired parallel-flow kernels: the same
-// (device, seed, replicas) workload measured under a drained CPU budget
-// (strictly sequential schedule) and at full width, where the tempering
+// (device, seed, replicas) workload measured on one P (GOMAXPROCS=1, the
+// strictly sequential schedule) and at full width, where the tempering
 // replicas anneal concurrently. The determinism contract says the pair
 // performs the identical search, so enforcePairs fails the run if their
 // work counters diverge — the perf tool doubles as a determinism check on
@@ -322,15 +321,6 @@ func flowMetrics(res *pnr.Result) map[string]float64 {
 	}
 }
 
-// drainedContext returns a context whose CPU budget has no free tokens,
-// forcing every parallel section down to width 1 — the sequential
-// schedule the /seq kernels measure.
-func drainedContext() context.Context {
-	b := par.NewBudget(1)
-	b.TryAcquire(1)
-	return par.ContextWithBudget(context.Background(), b)
-}
-
 // parallelKernels builds the paired seq/par flow kernels for each perf
 // device at the given replica count.
 func parallelKernels(replicas int) []kernel {
@@ -339,13 +329,14 @@ func parallelKernels(replicas int) []kernel {
 		d := device(name)
 		opts := pnr.NewOptions(pnr.WithSeed(1), pnr.WithReplicas(replicas))
 		base := fmt.Sprintf("pnr/flow/%s/replicas=%d", name, replicas)
-		seqCtx := drainedContext()
 		ks = append(ks,
 			kernel{
 				name:  base + pairSuffixSeq,
 				iters: 3,
 				fn: func() map[string]float64 {
-					res, err := pnr.RunContext(seqCtx, d, opts)
+					// One P sizes the replica loop to a single worker.
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+					res, err := pnr.RunContext(context.Background(), d, opts)
 					if err != nil {
 						cli.Fatalf("parchmint-perf: %v", err)
 					}

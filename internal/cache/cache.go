@@ -186,26 +186,11 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Get returns the entry stored under key, refreshing its recency. A found
-// entry counts as a hit, an absent one as a miss.
-func (c *Cache) Get(key string) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return Entry{}, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits++
-	return el.Value.(*node).entry, true
-}
-
 // Lookup returns the entry stored under key, counting a hit and
-// refreshing recency when present. Unlike Get it records nothing on
-// absence, so a Lookup-then-Do fast path — probe without building a
-// compute closure, fall into Do only on a miss — attributes exactly one
-// outcome to the request instead of a phantom extra miss.
+// refreshing recency when present. It records nothing on absence, so a
+// Lookup-then-Do fast path — probe without building a compute closure,
+// fall into Do only on a miss — attributes exactly one outcome to the
+// request instead of a phantom extra miss.
 func (c *Cache) Lookup(key string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -40,15 +40,15 @@ func TestLRUEvictionAtByteBound(t *testing.T) {
 		t.Fatalf("after 3 puts: %+v", st)
 	}
 	// Touch "a" so "b" is now the least recently used.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Lookup("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
 	c.Put("d", entry(100))
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Lookup("b"); ok {
 		t.Error("b survived; eviction is not least-recently-used")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Lookup(k); !ok {
 			t.Errorf("%s evicted, want it retained", k)
 		}
 	}
@@ -73,7 +73,7 @@ func TestEvictHookAndOversizeEntry(t *testing.T) {
 	}
 	// An entry larger than the whole cache is refused, evicting nothing.
 	c.Put("huge", entry(1<<20))
-	if _, ok := c.Get("huge"); ok {
+	if _, ok := c.Lookup("huge"); ok {
 		t.Error("oversize entry was stored")
 	}
 	if st := c.Stats(); st.Entries != 2 {

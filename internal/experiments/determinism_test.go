@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/par"
 )
 
 // cheapIDs are the experiments fast enough to regenerate several times in
@@ -12,11 +11,11 @@ import (
 // figures) is covered by the root-level golden/determinism test.
 var cheapIDs = []string{"table1", "table2", "fig2", "fig6", "ext-gradient"}
 
-func renderCheap(t *testing.T) map[string]string {
+func renderCheap(t *testing.T, workers int) map[string]string {
 	t.Helper()
 	out := make(map[string]string, len(cheapIDs))
 	for _, id := range cheapIDs {
-		text, err := Run(id)
+		text, err := Run(id, workers)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", id, err)
 		}
@@ -26,16 +25,13 @@ func renderCheap(t *testing.T) map[string]string {
 }
 
 // TestCheapExperimentsDeterministic regenerates the cheap artifacts twice
-// sequentially and twice with the worker-pool parallelism raised, and
-// requires all four renderings to be byte-identical.
+// sequentially and twice at 8 workers, and requires all four renderings
+// to be byte-identical.
 func TestCheapExperimentsDeterministic(t *testing.T) {
-	prev := par.SetParallelism(1)
-	defer par.SetParallelism(prev)
-	seq1 := renderCheap(t)
-	seq2 := renderCheap(t)
-	par.SetParallelism(8)
-	par1 := renderCheap(t)
-	par2 := renderCheap(t)
+	seq1 := renderCheap(t, 1)
+	seq2 := renderCheap(t, 1)
+	par1 := renderCheap(t, 8)
+	par2 := renderCheap(t, 8)
 	for _, id := range cheapIDs {
 		if seq1[id] != seq2[id] {
 			t.Errorf("%s: sequential rendering differs across runs", id)
@@ -54,13 +50,10 @@ func TestCheapExperimentsDeterministic(t *testing.T) {
 // small subset at 1 and at 8 workers and requires byte-identical output.
 func TestFigSubsetParallelMatchesSequential(t *testing.T) {
 	subset := fig3Subset(t)
-	prev := par.SetParallelism(1)
-	defer par.SetParallelism(prev)
-	f1, t1 := Fig3On(subset)
-	r1 := Fig4On(subset).Render()
-	par.SetParallelism(8)
-	f2, t2 := Fig3On(subset)
-	r2 := Fig4On(subset).Render()
+	f1, t1 := Fig3On(subset, 1)
+	r1 := Fig4On(subset, 1).Render()
+	f2, t2 := Fig3On(subset, 8)
+	r2 := Fig4On(subset, 8).Render()
 	if f1.Render() != f2.Render() {
 		t.Error("Fig3 figure differs between 1 and 8 workers")
 	}
@@ -78,10 +71,8 @@ func TestFigSubsetParallelMatchesSequential(t *testing.T) {
 func TestCheapExperimentsBuildEachBenchmarkOnce(t *testing.T) {
 	bench.ResetBuildCache()
 	defer bench.ResetBuildCache()
-	prev := par.SetParallelism(4)
-	defer par.SetParallelism(prev)
-	renderCheap(t)
-	renderCheap(t)
+	renderCheap(t, 4)
+	renderCheap(t, 4)
 	for _, name := range bench.Names() {
 		if n := bench.BuildCount(name); n != 1 {
 			t.Errorf("%s: generator ran %d times, want 1", name, n)

@@ -4,12 +4,19 @@
 // backs the parchmint-bench command, the testing.B benchmarks, and
 // EXPERIMENTS.md. The experiment IDs follow DESIGN.md's per-experiment
 // index.
+//
+// Every experiment takes the worker count of its parallel loops as an
+// argument, and its bytes never depend on it: every randomized stage is
+// seeded by the fixed experiment Seed (or a par.DeriveSeed of it), never
+// by scheduling order, and every parallel loop writes into slots indexed
+// by task position. The determinism tests pin this.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -82,8 +89,9 @@ const Table3Trials = 25
 
 // Table3 measures validator coverage: for every mutation class, the
 // fraction of injections (across all benchmarks and seeds) the expected
-// rule detects.
-func Table3() *stats.Table {
+// rule detects. Each class's per-benchmark sweeps run on workers
+// goroutines.
+func Table3(workers int) *stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("Table 3: validator fault-injection coverage (%d seeds x 12 benchmarks)", Table3Trials),
 		"mutation-class", "expected-rule", "applicable", "detected", "rate",
@@ -96,7 +104,7 @@ func Table3() *stats.Table {
 		// position, so the totals are scheduling-independent.
 		type tally struct{ applicable, detected int }
 		tallies := make([]tally, len(suite))
-		par.ForEach(0, len(suite), func(i int) {
+		par.ForEach(workers, len(suite), func(i int) {
 			d := suite[i].Device()
 			for seed := uint64(0); seed < Table3Trials; seed++ {
 				res := mutate.Trial(d, m, Seed+seed)
@@ -159,15 +167,11 @@ func Fig2() *stats.Figure {
 	return f
 }
 
-// Fig3 compares placement engines on every benchmark: HPWL normalized to
-// the greedy baseline (series per engine) plus an absolute-area table
-// companion. x indexes benchmarks in suite order.
-func Fig3() (*stats.Figure, *stats.Table) {
-	return Fig3On(bench.Suite())
-}
-
-// Fig3On runs the placement comparison on a subset of the suite.
-func Fig3On(benchmarks []bench.Benchmark) (*stats.Figure, *stats.Table) {
+// Fig3On compares placement engines on the given benchmarks, one per
+// worker: HPWL normalized to the greedy baseline (series per engine) plus
+// an absolute-area table companion. x indexes benchmarks in the given
+// order; the "fig3" artifact runs it on the whole suite.
+func Fig3On(benchmarks []bench.Benchmark, workers int) (*stats.Figure, *stats.Table) {
 	f := &stats.Figure{
 		Title:  "Fig 3: placement quality, HPWL normalized to greedy baseline",
 		XLabel: "benchmark index (suite order)",
@@ -186,7 +190,7 @@ func Fig3On(benchmarks []bench.Benchmark) (*stats.Figure, *stats.Table) {
 	// worker pool and assemble series points and table rows in benchmark
 	// order afterwards, so the artifact bytes never depend on scheduling.
 	perBench := make([][]place.Metrics, len(benchmarks))
-	par.ForEach(0, len(benchmarks), func(bi int) {
+	par.ForEach(workers, len(benchmarks), func(bi int) {
 		b := benchmarks[bi]
 		d := b.Device()
 		perBench[bi] = make([]place.Metrics, len(engines))
@@ -224,14 +228,11 @@ func Fig3On(benchmarks []bench.Benchmark) (*stats.Figure, *stats.Table) {
 	return f, t
 }
 
-// Fig4 compares routing engines on every benchmark (on the annealed
-// placement): completion rate, total channel length, and node expansions.
-func Fig4() *stats.Table {
-	return Fig4On(bench.Suite())
-}
-
-// Fig4On runs the routing comparison on a subset of the suite.
-func Fig4On(benchmarks []bench.Benchmark) *stats.Table {
+// Fig4On compares routing engines on the given benchmarks (on the
+// annealed placement), one per worker: completion rate, total channel
+// length, and node expansions. The "fig4" artifact runs it on the whole
+// suite.
+func Fig4On(benchmarks []bench.Benchmark, workers int) *stats.Table {
 	t := stats.NewTable(
 		"Fig 4: routing quality per engine (annealed placements)",
 		"benchmark", "router", "routed", "total", "completion",
@@ -242,7 +243,7 @@ func Fig4On(benchmarks []bench.Benchmark) *stats.Table {
 	// order afterwards.
 	routers := route.Engines()
 	reports := make([][]*route.Report, len(benchmarks))
-	par.ForEach(0, len(benchmarks), func(bi int) {
+	par.ForEach(workers, len(benchmarks), func(bi int) {
 		b := benchmarks[bi]
 		p := annealedPlacement(b)
 		reports[bi] = make([]*route.Report, len(routers))
@@ -267,6 +268,42 @@ func Fig4On(benchmarks []bench.Benchmark) *stats.Table {
 	return t
 }
 
+// annealCache memoizes the annealed placement each benchmark gets under
+// the experiment seed. Fig 3 (engine comparison) and Fig 4 (routing on the
+// annealed placement) both need it; annealing is the harness's most
+// expensive stage, so computing it once per benchmark roughly halves a
+// full regeneration. Placements are read-only downstream (evaluation and
+// routing never mutate them).
+var annealCache = struct {
+	mu      sync.Mutex
+	entries map[string]*annealEntry
+}{entries: make(map[string]*annealEntry)}
+
+type annealEntry struct {
+	once sync.Once
+	p    *place.Placement
+}
+
+// annealedPlacement returns the benchmark's annealed placement under the
+// experiment seed, computing it at most once per process.
+func annealedPlacement(b bench.Benchmark) *place.Placement {
+	annealCache.mu.Lock()
+	e, ok := annealCache.entries[b.Name]
+	if !ok {
+		e = &annealEntry{}
+		annealCache.entries[b.Name] = e
+	}
+	annealCache.mu.Unlock()
+	e.once.Do(func() {
+		p, err := (place.Annealer{}).Place(context.Background(), b.Device(), place.NewOptions(place.WithSeed(Seed)))
+		if err != nil {
+			panic(fmt.Sprintf("experiments: placement %s: %v", b.Name, err))
+		}
+		e.p = p
+	})
+	return e.p
+}
+
 // Fig5Points is the number of sweep sizes in the runtime-scaling figure:
 // 10, 20, 40, 80, 160 components.
 const Fig5Points = 5
@@ -279,7 +316,8 @@ const Fig5Points = 5
 // and worker counts, and can sit in the golden artifact set. The
 // wall-clock equivalent is TimingTable, the "timing" pseudo-experiment
 // (parchmint-bench -exp timing), which is deliberately excluded from it.
-func Fig5() *stats.Figure {
+// The sweep points run on workers goroutines.
+func Fig5(workers int) *stats.Figure {
 	f := &stats.Figure{
 		Title:  "Fig 5: pipeline work scaling on the synthetic sweep",
 		XLabel: "components",
@@ -290,7 +328,7 @@ func Fig5() *stats.Figure {
 		x, parse, validate, place, route float64
 	}
 	points := make([]point, len(pts))
-	par.ForEach(0, len(pts), func(i int) {
+	par.ForEach(workers, len(pts), func(i int) {
 		pt := pts[i]
 		x := float64(pt.Device.Stats().Components)
 		data, err := core.Marshal(pt.Device)
@@ -444,23 +482,6 @@ func ExtGradient() *stats.Figure {
 	return f
 }
 
-// All runs every experiment and returns (id, rendered artifact) pairs in
-// DESIGN.md order.
-func All() []Artifact {
-	fig3, fig3t := Fig3()
-	return []Artifact{
-		{"table1", Table1().Render()},
-		{"table2", Table2().Render()},
-		{"table3", Table3().Render()},
-		{"fig2", Fig2().Render()},
-		{"fig3", fig3.Render() + "\n" + fig3t.Render()},
-		{"fig4", Fig4().Render()},
-		{"fig5", Fig5().Render()},
-		{"fig6", Fig6().Render()},
-		{"ext-gradient", ExtGradient().Render()},
-	}
-}
-
 // Artifact is one rendered experiment output.
 type Artifact struct {
 	ID   string
@@ -473,55 +494,65 @@ type Info struct {
 	Title string
 }
 
-// Describe lists every experiment with its one-line title, in DESIGN.md
-// order — the paper's eight plus the extension experiments.
-func Describe() []Info {
-	return []Info{
-		{"table1", "benchmark suite characterization"},
-		{"table2", "component entity distribution"},
-		{"table3", "validator fault-injection coverage"},
-		{"fig2", "component degree distribution across the suite"},
-		{"fig3", "placement quality per engine, normalized to greedy"},
-		{"fig4", "routing quality per engine on annealed placements"},
-		{"fig5", "pipeline work scaling on the synthetic sweep"},
-		{"fig6", "interchange fidelity per benchmark"},
-		{"ext-gradient", "simulated dilution profile of molecular_gradients"},
-	}
+// registry lists every experiment in DESIGN.md order — the paper's eight
+// plus the extension experiments — with the function that renders it at
+// a given worker count.
+var registry = []struct {
+	Info
+	render func(workers int) string
+}{
+	{Info{"table1", "benchmark suite characterization"}, func(int) string { return Table1().Render() }},
+	{Info{"table2", "component entity distribution"}, func(int) string { return Table2().Render() }},
+	{Info{"table3", "validator fault-injection coverage"}, func(w int) string { return Table3(w).Render() }},
+	{Info{"fig2", "component degree distribution across the suite"}, func(int) string { return Fig2().Render() }},
+	{Info{"fig3", "placement quality per engine, normalized to greedy"}, func(w int) string {
+		f, t := Fig3On(bench.Suite(), w)
+		return f.Render() + "\n" + t.Render()
+	}},
+	{Info{"fig4", "routing quality per engine on annealed placements"}, func(w int) string { return Fig4On(bench.Suite(), w).Render() }},
+	{Info{"fig5", "pipeline work scaling on the synthetic sweep"}, func(w int) string { return Fig5(w).Render() }},
+	{Info{"fig6", "interchange fidelity per benchmark"}, func(int) string { return Fig6().Render() }},
+	{Info{"ext-gradient", "simulated dilution profile of molecular_gradients"}, func(int) string { return ExtGradient().Render() }},
 }
 
-// IDs lists the experiment identifiers in DESIGN.md order.
-func IDs() []string {
-	infos := Describe()
-	out := make([]string, len(infos))
-	for i, in := range infos {
-		out[i] = in.ID
+// Describe lists every experiment with its one-line title, in DESIGN.md
+// order.
+func Describe() []Info {
+	out := make([]Info, len(registry))
+	for i, e := range registry {
+		out[i] = e.Info
 	}
 	return out
 }
 
-// Run renders a single experiment by ID.
-func Run(id string) (string, error) {
-	switch id {
-	case "table1":
-		return Table1().Render(), nil
-	case "table2":
-		return Table2().Render(), nil
-	case "table3":
-		return Table3().Render(), nil
-	case "fig2":
-		return Fig2().Render(), nil
-	case "fig3":
-		f, t := Fig3()
-		return f.Render() + "\n" + t.Render(), nil
-	case "fig4":
-		return Fig4().Render(), nil
-	case "fig5":
-		return Fig5().Render(), nil
-	case "fig6":
-		return Fig6().Render(), nil
-	case "ext-gradient":
-		return ExtGradient().Render(), nil
-	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+// IDs lists the experiment identifiers in DESIGN.md order.
+func IDs() []string {
+	out := make([]string, len(registry))
+	for i, e := range registry {
+		out[i] = e.ID
 	}
+	return out
+}
+
+// Run renders a single experiment by ID, with workers goroutines for its
+// parallel loops.
+func Run(id string, workers int) (string, error) {
+	for _, e := range registry {
+		if e.ID == id {
+			return e.render(workers), nil
+		}
+	}
+	return "", fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
+}
+
+// All renders every experiment in DESIGN.md order. The experiments run
+// concurrently on workers goroutines, and each one's inner loops fan out
+// at the same width; the bytes are the same at every worker count.
+func All(workers int) []Artifact {
+	arts := make([]Artifact, len(registry))
+	par.ForEach(workers, len(registry), func(i int) {
+		e := registry[i]
+		arts[i] = Artifact{ID: e.ID, Text: e.render(workers)}
+	})
+	return arts
 }

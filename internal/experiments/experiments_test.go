@@ -64,7 +64,7 @@ func TestTable3AllDetected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault-injection sweep is slow in -short mode")
 	}
-	tb := Table3()
+	tb := Table3(2)
 	if len(tb.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8 mutation classes", len(tb.Rows))
 	}
@@ -111,7 +111,7 @@ func fig3Subset(t *testing.T) []bench.Benchmark {
 }
 
 func TestFig3AnnealNeverWorseThanGreedy(t *testing.T) {
-	f, tb := Fig3On(fig3Subset(t))
+	f, tb := Fig3On(fig3Subset(t), 2)
 	anneal := f.ByName("anneal")
 	if anneal == nil {
 		t.Fatal("anneal series missing")
@@ -146,7 +146,7 @@ func TestFig4RoutersProduceResults(t *testing.T) {
 		}
 		subset = append(subset, b)
 	}
-	tb := Fig4On(subset)
+	tb := Fig4On(subset, 2)
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 2 benchmarks x 3 routers", len(tb.Rows))
 	}
@@ -175,7 +175,7 @@ func TestFig5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("work-scaling sweep is slow in -short mode")
 	}
-	f := Fig5()
+	f := Fig5(2)
 	for _, name := range []string{"parse", "validate", "place", "route"} {
 		s := f.ByName(name)
 		if s == nil {
@@ -205,8 +205,9 @@ func TestFig5Shape(t *testing.T) {
 		t.Errorf("place work (%v) does not dominate parse work (%v) at max size",
 			pl.Y[len(pl.Y)-1], pa.Y[len(pa.Y)-1])
 	}
-	// The work metrics are deterministic: a second sweep is identical.
-	g := Fig5()
+	// The work metrics are deterministic: a second, sequential sweep is
+	// identical.
+	g := Fig5(1)
 	for _, name := range []string{"parse", "validate", "place", "route"} {
 		a, b := f.ByName(name), g.ByName(name)
 		for i := range a.Y {
@@ -247,12 +248,12 @@ func TestRunAndIDs(t *testing.T) {
 	}
 	// Cheap experiments run through the dispatcher.
 	for _, id := range []string{"table1", "table2", "fig2", "fig6"} {
-		text, err := Run(id)
+		text, err := Run(id, 1)
 		if err != nil || text == "" {
 			t.Errorf("Run(%s) = %v", id, err)
 		}
 	}
-	if _, err := Run("bogus"); err == nil {
+	if _, err := Run("bogus", 1); err == nil {
 		t.Error("unknown experiment should error")
 	}
 }

@@ -27,20 +27,16 @@ import (
 var timingStages = [6]string{"build", "validate", pnr.StagePlace, pnr.StageRoute, pnr.StageAttach, "profile"}
 
 // TimingTable profiles the full pipeline over the given benchmarks with
-// the fast baseline engines (greedy + A*) on workers parallel workers
-// (below 1 selects runtime.NumCPU()), seeding each benchmark's flow with
-// par.DeriveSeed(seed, benchmark-name). It reports per-stage wall time in
-// milliseconds plus the process-wide allocation delta attributed to each
-// benchmark (approximate under concurrency: allocation is sampled around
-// the whole benchmark, not per goroutine). The place, route and attach
-// columns come from the flow's own stage hook (pnr.WithObserver). Rows
-// appear in benchmark order regardless of completion order. A telemetry
-// recorder on ctx sees one span per benchmark wrapping the flow's stage
-// spans.
+// the fast baseline engines (greedy + A*) on workers parallel workers,
+// seeding each benchmark's flow with par.DeriveSeed(seed,
+// benchmark-name). It reports per-stage wall time in milliseconds plus
+// the process-wide allocation delta attributed to each benchmark
+// (approximate under concurrency: allocation is sampled around the whole
+// benchmark, not per goroutine). The place, route and attach columns come
+// from the flow's own stage hook (pnr.WithObserver). Rows appear in
+// benchmark order regardless of completion order. A telemetry recorder on
+// ctx sees one span per benchmark wrapping the flow's stage spans.
 func TimingTable(ctx context.Context, benchmarks []bench.Benchmark, workers int, seed uint64) *stats.Table {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
 	placer, router := place.Greedy{}, route.AStar{}
 	rows := make([][len(timingStages)]time.Duration, len(benchmarks))
 	allocs := make([]uint64, len(benchmarks))

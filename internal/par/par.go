@@ -1,9 +1,11 @@
 // Package par holds the repository's parallelism primitives: one
-// order-preserving parallel loop (ForEach), the seed-derivation rule that
-// keeps randomized work deterministic under any scheduling (DeriveSeed),
-// and the shared CPU budget that bounds nested parallelism (Budget). It
-// sits below everything that fans out — the placer's replica annealing, the
-// experiment harness and the HTTP service — so each imports it directly.
+// order-preserving parallel loop (ForEach) and the seed-derivation rule
+// that keeps randomized work deterministic under any scheduling
+// (DeriveSeed).
+// It sits below everything that fans out — the placer's replica
+// annealing, the experiment harness and the HTTP service — so each imports
+// it directly. Every caller passes its worker count explicitly; there is
+// no process-wide default.
 //
 // The determinism contract every user of this package relies on:
 //
@@ -20,31 +22,9 @@ package par
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// parallelism is the process-wide worker count the experiment inner loops
-// consult (see ForEach with workers <= 0). It defaults to 1 — fully
-// sequential — and is raised by parchmint-bench's -j flag and by
-// experiments.AllParallel.
-var parallelism atomic.Int64
-
-func init() { parallelism.Store(1) }
-
-// SetParallelism sets the default worker count used when a parallel loop
-// is invoked without an explicit count. Values below 1 select
-// runtime.NumCPU(). It returns the previous value so callers can restore it.
-func SetParallelism(n int) int {
-	if n < 1 {
-		n = runtime.NumCPU()
-	}
-	return int(parallelism.Swap(int64(n)))
-}
-
-// Parallelism reports the current default worker count.
-func Parallelism() int { return int(parallelism.Load()) }
 
 // DeriveSeed maps (base, id) to a task seed. The ID is folded with FNV-1a
 // and the result is diffused through a SplitMix64 round, so distinct task
@@ -68,10 +48,9 @@ func DeriveSeed(base uint64, id string) uint64 {
 }
 
 // ForEach runs fn(0..n-1) over a bounded set of worker goroutines and
-// blocks until all calls return. workers <= 0 selects the process default
-// (SetParallelism); a resolved worker count of 1 degenerates to a plain
-// loop on the calling goroutine, which is the sequential path the parallel
-// one must match byte-for-byte. Iterations are handed out in index order,
+// blocks until all calls return. workers <= 1 degenerates to a plain loop
+// on the calling goroutine, which is the sequential path the parallel one
+// must match byte-for-byte. Iterations are handed out in index order,
 // and fn reports results by writing slot i of a caller-owned slice. A
 // panicking iteration stops nothing else; the first panic in index order
 // is re-raised on the caller's goroutine after all workers drain.
@@ -79,10 +58,7 @@ func ForEach(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = Parallelism()
-	}
-	if workers == 1 || n == 1 {
+	if workers <= 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

@@ -29,7 +29,7 @@ func TestForEachMatchesSequential(t *testing.T) {
 	for i := range seq {
 		seq[i] = 3 * i
 	}
-	for _, workers := range []int{1, 2, 7} {
+	for _, workers := range []int{-1, 0, 1, 2, 7} {
 		got := make([]int, 100)
 		ForEach(workers, 100, func(i int) { got[i] = 3 * i })
 		for i := range got {
@@ -83,15 +83,4 @@ func TestForEachPropagatesPanics(t *testing.T) {
 		}
 		ran.Add(1)
 	})
-}
-
-func TestSetParallelismRoundTrip(t *testing.T) {
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
-	if Parallelism() != 4 {
-		t.Errorf("Parallelism = %d, want 4", Parallelism())
-	}
-	if got := SetParallelism(prev); got != 4 {
-		t.Errorf("SetParallelism returned %d, want 4", got)
-	}
 }

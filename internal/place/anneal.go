@@ -3,6 +3,7 @@ package place
 import (
 	"context"
 	"math"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -91,8 +92,15 @@ type annealState struct {
 }
 
 // Place runs the annealing schedule and returns a legalized placement.
-// Cancelling ctx aborts the schedule within one MoveBatch of moves.
+// Cancelling ctx aborts the schedule within one MoveBatch of moves. A
+// multi-replica schedule runs its replicas on up to GOMAXPROCS workers.
 func (Annealer) Place(ctx context.Context, d *core.Device, opts Options) (*Placement, error) {
+	return anneal(ctx, d, opts, runtime.GOMAXPROCS(0))
+}
+
+// anneal is Place with an explicit worker count for the replica loop. The
+// result never depends on workers.
+func anneal(ctx context.Context, d *core.Device, opts Options, workers int) (*Placement, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -110,8 +118,8 @@ func (Annealer) Place(ctx context.Context, d *core.Device, opts Options) (*Place
 		cooling = defaultCoolingRate
 	}
 	movesPerTemp := 10 * len(d.Components)
-	if opts.replicas() > 1 {
-		return annealParallel(ctx, d, start, opts, cooling, movesPerTemp)
+	if n := opts.replicas(); n > 1 {
+		return annealParallel(ctx, d, start, opts, cooling, movesPerTemp, min(n, workers))
 	}
 
 	st := newAnnealState(d, start, opts.Seed)

@@ -39,9 +39,10 @@ func replicaSeed(seed uint64, i int) uint64 {
 	return par.DeriveSeed(seed, "replica:"+strconv.Itoa(i))
 }
 
-// annealParallel runs the multi-replica schedule. The caller resolved the
-// knobs and handles the trivial cases; len(d.Components) >= 2 here.
-func annealParallel(ctx context.Context, d *core.Device, start *Placement, opts Options, cooling float64, movesPerTemp int) (*Placement, error) {
+// annealParallel runs the multi-replica schedule on workers goroutines.
+// The caller resolved the knobs and handles the trivial cases;
+// len(d.Components) >= 2 here.
+func annealParallel(ctx context.Context, d *core.Device, start *Placement, opts Options, cooling float64, movesPerTemp, workers int) (*Placement, error) {
 	n := opts.replicas()
 	states := make([]*annealState, n)
 	for i := range states {
@@ -50,12 +51,6 @@ func annealParallel(ctx context.Context, d *core.Device, start *Placement, opts 
 		st.replicaLabel = strconv.Itoa(i)
 		states[i] = st
 	}
-
-	// Fan-out width comes from the context's CPU budget when one is
-	// attached (nested under the request gate); otherwise the full replica
-	// count. Width never influences the result.
-	workers, release := par.AcquireWorkers(ctx, n)
-	defer release()
 
 	ctx, sp := obs.Start(ctx, "place.replicas")
 	sp.SetAttr("replicas", n)

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
-
-	"repro/internal/par"
 )
 
 // placementBytes renders the determinism-relevant surface of a placement:
@@ -42,46 +40,28 @@ func TestReplicasProduceLegalPlacement(t *testing.T) {
 
 // TestReplicasDeterministicAcrossWorkerWidths is the core of the
 // determinism contract for parallel tempering: the winning placement is a
-// pure function of (device, options, seed, N) — the worker width the CPU
-// budget happens to grant must never show in the artifact. An empty
-// budget degrades the fan-out to a plain sequential loop over the same
-// replica states, so equality across budgets proves scheduling
-// independence.
+// pure function of (device, options, seed, N) — the worker width the
+// replica loop runs at must never show in the artifact. Width 1 runs every
+// replica on the calling goroutine in plain program order, so equality
+// with it proves scheduling independence.
 func TestReplicasDeterministicAcrossWorkerWidths(t *testing.T) {
 	d := benchDevice(t, "aquaflex_3b")
 	opts := Options{Seed: 11, Replicas: 4}
 
-	golden, err := Annealer{}.Place(context.Background(), d, opts)
+	golden, err := anneal(context.Background(), d, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := placementBytes(t, golden)
 
-	for _, cap := range []int{1, 2, 8} {
-		b := par.NewBudget(cap)
-		ctx := par.ContextWithBudget(context.Background(), b)
-		p, err := Annealer{}.Place(ctx, d, opts)
+	for _, workers := range []int{2, 3, 8} {
+		p, err := anneal(context.Background(), d, opts, workers)
 		if err != nil {
-			t.Fatalf("budget cap %d: %v", cap, err)
+			t.Fatalf("workers %d: %v", workers, err)
 		}
 		if got := placementBytes(t, p); !bytes.Equal(got, want) {
-			t.Errorf("budget cap %d: placement differs from unbudgeted run", cap)
+			t.Errorf("workers %d: placement differs from the sequential run", workers)
 		}
-		if b.InUse() != 0 {
-			t.Errorf("budget cap %d: %d tokens leaked", cap, b.InUse())
-		}
-	}
-
-	// Drained budget: every replica runs on the calling goroutine.
-	drained := par.NewBudget(4)
-	drained.TryAcquire(4)
-	defer drained.Release(4)
-	p, err := Annealer{}.Place(par.ContextWithBudget(context.Background(), drained), d, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := placementBytes(t, p); !bytes.Equal(got, want) {
-		t.Error("drained budget (sequential replicas) differs from parallel run")
 	}
 }
 

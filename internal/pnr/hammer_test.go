@@ -6,20 +6,23 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/par"
 )
 
 // The determinism hammer pins the parallel PnR contract end to end: for a
 // fixed (device, options, seed, replica count), the flow's artifact is
-// byte-identical whether the replicas and net searches run wide, run under
-// a starved CPU budget, or run strictly sequentially — and not just the
-// artifact: the search-effort counters (anneal moves, maze expansions)
-// must match too, because the contract is "same computation, reordered",
-// not "equivalent result".
+// byte-identical whether the replicas run wide, on two Ps, or strictly
+// sequentially on one — and not just the artifact: the search-effort
+// counters (anneal moves, maze expansions) must match too, because the
+// contract is "same computation, reordered", not "equivalent result".
+//
+// The annealer sizes its replica loop by runtime.GOMAXPROCS, so each
+// schedule is selected by setting it. GOMAXPROCS is process-wide, so the
+// subtests run one at a time.
 //
 // Matrix size is calibrated against measured flow cost (the two largest
 // synthetics cost 1.8 s and 5.5 s per run):
@@ -43,10 +46,14 @@ type hammerPrint struct {
 	Length     int64           `json:"length"`
 }
 
-// hammerRun executes one flow and fingerprints it.
-func hammerRun(t *testing.T, ctx context.Context, d *core.Device, opts Options) []byte {
+// hammerRun executes one flow with GOMAXPROCS set to procs (0 leaves it
+// as it is) and fingerprints it.
+func hammerRun(t *testing.T, procs int, d *core.Device, opts Options) []byte {
 	t.Helper()
-	res, err := RunContext(ctx, d, opts)
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
+	res, err := RunContext(context.Background(), d, opts)
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
 	}
@@ -67,35 +74,13 @@ func hammerRun(t *testing.T, ctx context.Context, d *core.Device, opts Options) 
 	return fp
 }
 
-// drainedContext returns a context whose CPU budget has zero free tokens,
-// which forces every parallel section in the flow down to width 1: the
-// replica loop and the net searches run on the calling goroutine in plain
-// program order. This is the sequential golden schedule.
-func drainedContext(t *testing.T) context.Context {
-	t.Helper()
-	b := par.NewBudget(1)
-	if b.TryAcquire(1) != 1 {
-		t.Fatal("could not drain budget")
-	}
-	t.Cleanup(func() { b.Release(1) })
-	return par.ContextWithBudget(context.Background(), b)
-}
-
 // hammerVariant is one parallel schedule that must reproduce the golden.
 type hammerVariant struct {
 	name string
-	// budgetCap sizes the context budget: 0 = no budget (full width),
-	// otherwise a budget with budgetCap-1 extra tokens.
-	budgetCap int
+	// procs is the GOMAXPROCS the variant runs at; 0 = the process's own.
+	procs int
 	// runs repeats the variant to catch scheduling-dependent flakiness.
 	runs int
-}
-
-func (v hammerVariant) context() context.Context {
-	if v.budgetCap <= 0 {
-		return context.Background()
-	}
-	return par.ContextWithBudget(context.Background(), par.NewBudget(v.budgetCap-1))
 }
 
 // hammerMatrix picks the device list, replica counts, and variants for the
@@ -103,8 +88,8 @@ func (v hammerVariant) context() context.Context {
 func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammerVariant) {
 	t.Helper()
 	variants = []hammerVariant{
-		{name: "wide", budgetCap: 0, runs: 2},
-		{name: "budget2", budgetCap: 2, runs: 1},
+		{name: "wide", procs: 0, runs: 2},
+		{name: "procs2", procs: 2, runs: 1},
 	}
 	switch {
 	case os.Getenv(hammerFullEnv) != "":
@@ -127,22 +112,20 @@ func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammer
 }
 
 // TestDeterminismHammer runs the matrix: for each device and replica
-// count, compute the sequential golden under a drained budget, then
-// demand that every parallel schedule — full-width replicas, a starved
-// two-slot budget, repeated runs — reproduces it byte for byte, counters
-// included.
+// count, compute the sequential golden at GOMAXPROCS=1, then demand that
+// every parallel schedule — full-width replicas, two Ps, repeated runs —
+// reproduces it byte for byte, counters included.
 func TestDeterminismHammer(t *testing.T) {
 	devices, reps, variants := hammerMatrix(t)
 	for _, name := range devices {
 		d := device(t, name)
 		for _, n := range reps {
 			t.Run(fmt.Sprintf("%s/replicas=%d", name, n), func(t *testing.T) {
-				t.Parallel()
 				opts := NewOptions(WithSeed(1), WithReplicas(n))
-				golden := hammerRun(t, drainedContext(t), d, opts)
+				golden := hammerRun(t, 1, d, opts)
 				for _, v := range variants {
 					for run := 0; run < v.runs; run++ {
-						got := hammerRun(t, v.context(), d, opts)
+						got := hammerRun(t, v.procs, d, opts)
 						if !bytes.Equal(got, golden) {
 							t.Errorf("%s run %d diverged from sequential golden\n got: %.200s\nwant: %.200s",
 								v.name, run, got, golden)

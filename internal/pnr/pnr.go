@@ -81,7 +81,7 @@ func WithOrdering(ord route.Order) Option { return func(o *Options) { o.Route.Or
 // Values below 2 keep the classic single-replica schedule. The replica
 // count selects the search — N replicas give a different (usually better)
 // placement than one — but for a fixed N the artifact is byte-identical
-// at any worker count or CPU budget.
+// at any worker count.
 func WithReplicas(n int) Option { return func(o *Options) { o.Place.Replicas = n } }
 
 // WithObserver installs a stage-duration hook.

@@ -111,14 +111,13 @@ func (l *limitedBody) Close() error { return l.rc.Close() }
 type reqStateKey struct{}
 
 // reqContext is the request's combined context layer: one link that
-// answers the recorder, request ID, root span, CPU budget, and request
-// state directly, replacing the chain of four WithValue wrappers (and
-// their four allocations) the middleware used to build. Everything else
+// answers the recorder, request ID, root span, and request state
+// directly, replacing the chain of WithValue wrappers (and their
+// allocations) the middleware used to build. Everything else
 // defers to the parent.
 type reqContext struct {
 	parent context.Context
 	vals   *obs.RequestValues
-	budget any // the server's *par.Budget, boxed once at construction
 	state  any // the owning *reqState, boxed once at pool insert
 }
 
@@ -129,9 +128,6 @@ func (c *reqContext) Err() error                              { return c.parent.
 func (c *reqContext) Value(key any) any {
 	if v, ok := c.vals.ValueFor(key); ok {
 		return v
-	}
-	if par.IsBudgetKey(key) {
-		return c.budget
 	}
 	if _, ok := key.(reqStateKey); ok {
 		return c.state
@@ -441,8 +437,8 @@ func (s *Server) cacheKey(op string, req *request) string {
 	// only when a multi-replica schedule is effective: single-replica
 	// keys stay byte-for-byte what they were before the knob existed, so
 	// existing entries (and servers that never set it) are undisturbed.
-	// Worker counts and CPU budgets never appear in any key: for a fixed
-	// replica count the artifact is byte-identical at any width.
+	// Worker counts never appear in any key: for a fixed replica count
+	// the artifact is byte-identical at any width.
 	if n := s.replicas(req); n > 1 && (op == opPNR || op == opRender) {
 		var rb [8]byte
 		binary.LittleEndian.PutUint64(rb[:], uint64(n))

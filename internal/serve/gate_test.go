@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/par"
 )
 
 func TestGateBoundsConcurrency(t *testing.T) {
@@ -221,56 +218,6 @@ func TestUnboundedGateNeverShedsOnDepth(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		if err := <-errs; err != nil {
 			t.Errorf("waiter %d: %v", i, err)
-		}
-	}
-}
-
-// TestBudgetNoDeadlockUnderSaturatedGate pins the non-blocking guarantee:
-// work admitted through a fully saturated 1-slot gate that then opens an
-// inner budgeted section on an empty budget must complete (degrading to
-// sequential), not wait for tokens that can never arrive.
-func TestBudgetNoDeadlockUnderSaturatedGate(t *testing.T) {
-	g := newGate(1, 0)
-	b := par.NewBudget(1)
-	// Exhaust the budget from outside so the gated work finds it empty.
-	if got := b.TryAcquire(1); got != 1 {
-		t.Fatal("failed to drain budget")
-	}
-	defer b.Release(1)
-
-	ctx := par.ContextWithBudget(context.Background(), b)
-	done := make(chan error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			done <- g.Do(ctx, func() error {
-				workers, release := par.AcquireWorkers(ctx, 8)
-				defer release()
-				if workers != 1 {
-					t.Errorf("workers = %d on an empty budget, want 1", workers)
-				}
-				var n atomic.Int64
-				par.ForEach(workers, 16, func(int) { n.Add(1) })
-				if n.Load() != 16 {
-					t.Errorf("inner loop ran %d of 16 iterations", n.Load())
-				}
-				return nil
-			})
-		}()
-	}
-
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(10 * time.Second):
-		t.Fatal("deadlock: gated budgeted work did not complete")
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatalf("gate.Do: %v", err)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // Config tunes the service.
@@ -139,21 +138,17 @@ func (c Config) traceSample() float64 {
 // result cache, and the telemetry spine (registry, tracer, recorder)
 // every request context carries.
 type Server struct {
-	cfg    Config
-	gate   *gate
-	budget *par.Budget
-	// budgetVal is the budget boxed once, so the per-request context can
-	// answer budget lookups without re-boxing.
-	budgetVal any
-	cache     *cache.Cache // nil when caching is disabled
-	reg       *obs.Registry
-	tracer    *obs.Tracer
-	rec       *obs.Recorder
-	flight    *obs.FlightRecorder // nil when the flight recorder is disabled
-	start     time.Time
-	ids       *obs.IDSource
-	jobs      *job.Store
-	cluster   *cluster.Cluster // nil when running single-node
+	cfg     Config
+	gate    *gate
+	cache   *cache.Cache // nil when caching is disabled
+	reg     *obs.Registry
+	tracer  *obs.Tracer
+	rec     *obs.Recorder
+	flight  *obs.FlightRecorder // nil when the flight recorder is disabled
+	start   time.Time
+	ids     *obs.IDSource
+	jobs    *job.Store
+	cluster *cluster.Cluster // nil when running single-node
 
 	// Pre-resolved endpoint instruments.
 	mRequests   *obs.Counter   // {endpoint, status}
@@ -193,13 +188,8 @@ type Server struct {
 // New builds a server; the zero Config selects all defaults.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:  cfg,
-		gate: newGate(cfg.Workers, cfg.QueueDepth),
-		// One process-wide CPU ledger for the solvers' nested parallelism
-		// (replica annealing): admitted requests own
-		// their goroutine; extra fan-out draws tokens from this budget, so
-		// gate × solver parallelism can never oversubscribe the machine.
-		budget: par.NewBudget(0),
+		cfg:    cfg,
+		gate:   newGate(cfg.Workers, cfg.QueueDepth),
 		reg:    obs.NewRegistry(),
 		tracer: obs.NewTracer(cfg.TraceEvents),
 		start:  time.Now(),
@@ -324,7 +314,6 @@ func New(cfg Config) *Server {
 		}
 		s.mCacheCells[op.Name] = cells
 	}
-	s.budgetVal = s.budget
 	if cfg.CacheBytes > 0 {
 		s.cache = cache.New(cfg.CacheBytes)
 		s.cache.OnEvict(func(n int) { s.mCacheEvict.Add(float64(n)) })
@@ -522,7 +511,7 @@ func (s *Server) wrap(endpoint string, h apiHandler) http.Handler {
 // This is the serving hot path, so the per-request machinery is pooled:
 // one reqState carries the status writer, body buffer, decoded envelope,
 // and a combined context link that answers the recorder, request ID,
-// span, and CPU budget without a WithValue chain. The per-endpoint
+// span, and request state without a WithValue chain. The per-endpoint
 // metric cells are bound once, here, at wrap time.
 func (s *Server) wrapWith(endpoint string, h apiHandler, o wrapOpts) http.Handler {
 	em := s.endpointMetrics(endpoint)
@@ -570,7 +559,7 @@ func (s *Server) wrapWith(endpoint string, h apiHandler, o wrapOpts) http.Handle
 			st.fl.Reset(start)
 			st.vals.Span.CaptureTo(&st.fl)
 		}
-		st.ctx = reqContext{parent: r.Context(), vals: &st.vals, budget: s.budgetVal, state: st.self}
+		st.ctx = reqContext{parent: r.Context(), vals: &st.vals, state: st.self}
 		var ctx context.Context = &st.ctx
 		if !o.noTimeout {
 			var cancel func()

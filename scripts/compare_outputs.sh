@@ -8,7 +8,8 @@
 # For each tree it builds parchmint-gen, parchmint-convert and
 # parchmint-pnr, writes every suite device with `parchmint-gen -all`,
 # converts each file with `-to json` and `-to mint`, and places and routes
-# it with the default engines and with `-placer greedy -router hadlock`.
+# it with the default engines, with `-replicas 4` (parallel tempering) and
+# with `-placer greedy -router hadlock`.
 # Every output of the second tree must equal the first tree's byte for
 # byte; the script lists each difference and exits 1 if there is one.
 set -euo pipefail
@@ -32,6 +33,7 @@ run_tree() {
 		"$out/bin/parchmint-convert" -to json -o "$out/conv/$name.json" "$f"
 		"$out/bin/parchmint-convert" -to mint -o "$out/conv/$name.mint" "$f" 2>/dev/null
 		"$out/bin/parchmint-pnr" -o "$out/pnr/$name.default.json" "$f" 2>/dev/null
+		"$out/bin/parchmint-pnr" -replicas 4 -o "$out/pnr/$name.replicas4.json" "$f" 2>/dev/null
 		"$out/bin/parchmint-pnr" -placer greedy -router hadlock -o "$out/pnr/$name.greedy-hadlock.json" "$f" 2>/dev/null
 	done
 }
