@@ -78,10 +78,11 @@ bench-pnr:
 bench-serve:
 	$(GO) run ./cmd/parchmint-perf -suite serve -o BENCH_serve.json
 
-# Determinism hammer under the race detector: full-width replicas and a
-# two-P run (GOMAXPROCS=2) must reproduce the GOMAXPROCS=1 sequential
-# golden byte for byte. -short trims the matrix to the small
-# devices so the race scheduler stays affordable in the commit gate;
+# Determinism hammer under the race detector: full-width replicas
+# (GOMAXPROCS=8, above every replica count) and a two-P run
+# (GOMAXPROCS=2) must reproduce the GOMAXPROCS=1 sequential golden byte
+# for byte. -short trims the matrix to the small devices so the race
+# scheduler stays affordable in the commit gate;
 # hammer-full sweeps every bench device at replicas {1,2,4,8}.
 hammer:
 	$(GO) test -race -short -run TestDeterminismHammer ./internal/pnr

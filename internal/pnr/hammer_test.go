@@ -15,14 +15,16 @@ import (
 
 // The determinism hammer pins the parallel PnR contract end to end: for a
 // fixed (device, options, seed, replica count), the flow's artifact is
-// byte-identical whether the replicas run wide, on two Ps, or strictly
-// sequentially on one — and not just the artifact: the search-effort
-// counters (anneal moves, maze expansions) must match too, because the
-// contract is "same computation, reordered", not "equivalent result".
+// byte-identical whether the replicas run at full width (GOMAXPROCS 8),
+// on two Ps, or strictly sequentially on one — and not just the artifact:
+// the search-effort counters (anneal moves, maze expansions) must match
+// too, because the contract is "same computation, reordered", not
+// "equivalent result".
 //
 // The annealer sizes its replica loop by runtime.GOMAXPROCS, so each
-// schedule is selected by setting it. GOMAXPROCS is process-wide, so the
-// subtests run one at a time.
+// schedule is selected by setting it; GOMAXPROCS may exceed NumCPU, so the
+// wide schedule gives every replica its own goroutine on any machine.
+// GOMAXPROCS is process-wide, so the subtests run one at a time.
 //
 // Matrix size is calibrated against measured flow cost (the two largest
 // synthetics cost 1.8 s and 5.5 s per run):
@@ -46,13 +48,11 @@ type hammerPrint struct {
 	Length     int64           `json:"length"`
 }
 
-// hammerRun executes one flow with GOMAXPROCS set to procs (0 leaves it
-// as it is) and fingerprints it.
+// hammerRun executes one flow with GOMAXPROCS set to procs and
+// fingerprints it.
 func hammerRun(t *testing.T, procs int, d *core.Device, opts Options) []byte {
 	t.Helper()
-	if procs > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	res, err := RunContext(context.Background(), d, opts)
 	if err != nil {
 		t.Fatalf("RunContext: %v", err)
@@ -77,7 +77,8 @@ func hammerRun(t *testing.T, procs int, d *core.Device, opts Options) []byte {
 // hammerVariant is one parallel schedule that must reproduce the golden.
 type hammerVariant struct {
 	name string
-	// procs is the GOMAXPROCS the variant runs at; 0 = the process's own.
+	// procs is the GOMAXPROCS the variant runs at, hence its replica
+	// width is min(replicas, procs).
 	procs int
 	// runs repeats the variant to catch scheduling-dependent flakiness.
 	runs int
@@ -88,7 +89,7 @@ type hammerVariant struct {
 func hammerMatrix(t *testing.T) (devices []string, reps []int, variants []hammerVariant) {
 	t.Helper()
 	variants = []hammerVariant{
-		{name: "wide", procs: 0, runs: 2},
+		{name: "wide", procs: 8, runs: 2}, // above every replica count
 		{name: "procs2", procs: 2, runs: 1},
 	}
 	switch {
